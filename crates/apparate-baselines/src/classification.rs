@@ -1,8 +1,6 @@
 //! Classification-serving baselines: the [`ExitPolicy`] family.
 
-use apparate_core::{
-    greedy_tune, GreedyParams, RequestFeedback, ThresholdEvaluator, TuningOutcome,
-};
+use apparate_core::{GreedyParams, IncrementalTuner, TuningOutcome, TuningWindow};
 use apparate_exec::{BatchExecution, ExecutionPlan, RequestObservations, SampleSemantics};
 use apparate_model::LayerId;
 use apparate_serving::{BatchOutcome, ExitPolicy, Request, RequestOutcome, VanillaPolicy};
@@ -133,7 +131,7 @@ impl ExitPolicy for StaticExitPolicy {
 }
 
 /// Tune thresholds once, offline, on a calibration sample set (the bootstrap
-/// validation split, §3.1) using Apparate's own greedy tuner, and return the
+/// validation split, §3.1) using Apparate's own tuner, and return the
 /// outcome. Wrap the result in a [`StaticExitPolicy`] for the "oneshot-tuned"
 /// baseline: optimal for the bootstrap distribution, blind to drift.
 pub fn offline_tuned_thresholds(
@@ -142,20 +140,16 @@ pub fn offline_tuned_thresholds(
     params: GreedyParams,
     reference_batch: u32,
 ) -> TuningOutcome {
-    let records: Vec<RequestFeedback> = calibration
-        .iter()
-        .map(|sample| RequestFeedback {
-            observations: (0..plan.num_ramps())
-                .map(|i| plan.observe(sample, i))
-                .collect(),
-            exited: None,
-            correct: true,
-            batch_size: reference_batch,
-        })
-        .collect();
+    let num_ramps = plan.num_ramps();
+    let mut window = TuningWindow::new(num_ramps, calibration.len().max(1));
+    let mut observations = Vec::with_capacity(num_ramps);
+    for sample in calibration {
+        observations.clear();
+        observations.extend((0..num_ramps).map(|i| plan.observe(sample, i)));
+        window.push(&observations);
+    }
     let savings = per_ramp_savings_us(plan, reference_batch);
-    let evaluator = ThresholdEvaluator::new(&records, &savings);
-    greedy_tune(&evaluator, params)
+    IncrementalTuner::new().tune(&window, &savings, params)
 }
 
 /// The deterministic hindsight oracle (§2.2's "optimal early exiting").
@@ -229,11 +223,12 @@ impl ExitPolicy for OracleExitPolicy {
 mod tests {
     use super::*;
     use crate::prep::{deploy_all_sites, deploy_budget_sites};
-    use apparate_core::{ApparateConfig, RampArchitecture};
+    use apparate_core::{greedy_tune, ApparateConfig, RampArchitecture, ThresholdEvaluator};
     use apparate_exec::SemanticsModel;
     use apparate_model::zoo;
     use apparate_serving::ArrivalTrace;
     use apparate_serving::{BatchingPolicy, ServingConfig, ServingSimulator};
+    use apparate_workload::{video_workload, VideoConfig};
 
     fn easy_samples(n: usize) -> Vec<SampleSemantics> {
         (0..n)
@@ -303,6 +298,60 @@ mod tests {
         assert!(outcome.evaluation.accuracy >= 0.99 - 1e-9);
         assert!(outcome.evaluation.mean_savings_us > 0.0);
         assert_eq!(outcome.thresholds.len(), dep.plan.num_ramps());
+    }
+
+    #[test]
+    fn offline_tuning_matches_the_greedy_oracle_on_a_cv_bootstrap_split() {
+        // The offline path tunes through the incremental tuner; on a real CV
+        // bootstrap validation split it must reproduce the full-evaluation
+        // greedy search bit for bit, in every build profile.
+        let model = zoo::resnet(50);
+        let workload = video_workload(
+            "urban-night",
+            VideoConfig {
+                frames: 3_000,
+                night: true,
+                ..VideoConfig::default()
+            },
+            42,
+        );
+        let split = workload.bootstrap_split();
+        let semantics = SemanticsModel::new(77, model.descriptor.overparameterization);
+        let dep = deploy_budget_sites(
+            &model,
+            &semantics,
+            &ApparateConfig::default(),
+            RampArchitecture::Lightweight,
+            split.train.len(),
+        );
+        let plan = &dep.plan;
+        let reference_batch = 4;
+        let mut window = TuningWindow::new(plan.num_ramps(), split.validation.len());
+        for sample in split.validation {
+            let row: Vec<_> = (0..plan.num_ramps())
+                .map(|i| plan.observe(sample, i))
+                .collect();
+            window.push(&row);
+        }
+        let savings = per_ramp_savings_us(plan, reference_batch);
+        let evaluator = ThresholdEvaluator::new(&window, &savings);
+        for budget in [0.005, 0.01, 0.05] {
+            for cap in [0.35, 1.0] {
+                let params = GreedyParams {
+                    accuracy_loss_budget: budget,
+                    max_threshold: cap,
+                    ..GreedyParams::default()
+                };
+                let offline =
+                    offline_tuned_thresholds(plan, split.validation, params, reference_batch);
+                assert_eq!(
+                    offline,
+                    greedy_tune(&evaluator, params),
+                    "budget {budget}, cap {cap}"
+                );
+                assert!(offline.evaluation.mean_savings_us > 0.0);
+            }
+        }
     }
 
     #[test]

@@ -36,12 +36,6 @@ pub struct ApparateConfig {
     /// batch decoding once the ramp accumulates a pre-specified number of
     /// exited tokens").
     pub generative_flush_tokens: usize,
-    /// Run every tuning round as a full greedy re-tune over the materialised
-    /// window instead of the incremental delta tuner. The two produce
-    /// identical configurations (the incremental tuner replays the exact
-    /// greedy trajectory); this flag exists as the correctness oracle for
-    /// equivalence checks and as an escape hatch, not as a quality knob.
-    pub full_retune: bool,
 }
 
 impl Default for ApparateConfig {
@@ -55,7 +49,6 @@ impl Default for ApparateConfig {
             initial_step: 0.1,
             smallest_step: 0.01,
             generative_flush_tokens: 8,
-            full_retune: false,
         }
     }
 }
@@ -101,13 +94,6 @@ impl ApparateConfig {
         self.ramp_budget = budget;
         self
     }
-
-    /// Convenience: force every tuning round through the full greedy re-tune
-    /// (the incremental tuner's correctness oracle).
-    pub fn with_full_retune(mut self, full_retune: bool) -> Self {
-        self.full_retune = full_retune;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -123,7 +109,6 @@ mod tests {
         assert_eq!(c.ramp_adjust_period, 128);
         assert_eq!(c.initial_step, 0.1);
         assert_eq!(c.smallest_step, 0.01);
-        assert!(!c.full_retune, "incremental tuning is the default");
         assert!(c.validate().is_ok());
     }
 
@@ -166,10 +151,8 @@ mod tests {
     fn builder_helpers() {
         let c = ApparateConfig::default()
             .with_accuracy_constraint(0.05)
-            .with_ramp_budget(0.10)
-            .with_full_retune(true);
+            .with_ramp_budget(0.10);
         assert_eq!(c.accuracy_constraint, 0.05);
         assert_eq!(c.ramp_budget, 0.10);
-        assert!(c.full_retune);
     }
 }

@@ -17,9 +17,10 @@
 //! them into a live `ExitPolicy` loop lives in `apparate-experiments`, and the
 //! non-adaptive comparison points live in `apparate-baselines`.
 //!
-//! Entry points: [`greedy_tune`] (Algorithm 1), [`adjust_ramps`]
-//! (Algorithm 2), [`Monitor`] (the feedback windows they consume), and
-//! [`ApparateConfig`] (the two user-facing knobs).
+//! Entry points: [`IncrementalTuner`] (Algorithm 1, the one tuning path;
+//! [`greedy_tune`] is its reference oracle), [`adjust_ramps`]
+//! (Algorithm 2), [`Monitor`] and its [`TuningWindow`] (the feedback windows
+//! they consume), and [`ApparateConfig`] (the two user-facing knobs).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +37,7 @@ pub use adjust::{
     adjust_ramps, ramp_utilities, AdjustAction, AdjustDecision, AdjustInput, RampUtility,
 };
 pub use config::ApparateConfig;
-pub use monitor::{Monitor, RequestFeedback, TuningWindow};
+pub use monitor::{Monitor, TuningWindow};
 pub use placement::{
     evenly_spaced, feasible_sites, initial_placement, max_ramps_under_budget, InitialPlacement,
     RampSite,

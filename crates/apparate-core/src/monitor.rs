@@ -12,15 +12,15 @@
 //! * per-ramp exit counters since the last ramp-adjustment round, used for
 //!   utility scores and candidate exit-rate bounds (§3.3).
 //!
-//! The tuning window is columnar ([`TuningWindow`]): observations live in
-//! flat per-ramp-strided arrays with per-ramp entropy histograms maintained
-//! at ingest time, so the incremental tuner reads pre-built aggregates
-//! instead of replaying per-request records. Whole delivered
-//! [`ProfileRecord`]s are ingested with [`Monitor::record_batch`] — slice
-//! copies, no per-request allocation.
+//! The tuning window is columnar ([`TuningWindow`]) and is the only form in
+//! which observations are kept: entropies and agreement flags live in flat
+//! per-ramp-strided arrays with per-ramp entropy histograms maintained at
+//! ingest time. Every threshold tune — online, offline and the reference
+//! evaluator alike — reads it directly. Whole delivered [`ProfileRecord`]s
+//! are ingested with [`Monitor::record_batch`] — slice copies, no
+//! per-request allocation.
 
 use apparate_exec::{ProfileRecord, RampObservation};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -33,19 +33,6 @@ static WINDOW_IDS: AtomicU64 = AtomicU64::new(1);
 
 fn next_window_id() -> u64 {
     WINDOW_IDS.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Feedback recorded for one request.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RequestFeedback {
-    /// Observation at every *active* ramp, in ramp order.
-    pub observations: Vec<RampObservation>,
-    /// The ramp index the deployed configuration exited this request at.
-    pub exited: Option<usize>,
-    /// Whether the released result matched the original model.
-    pub correct: bool,
-    /// Batch size the request was served with.
-    pub batch_size: u32,
 }
 
 /// Buckets per ramp in the [`TuningWindow`]'s entropy histograms.
@@ -75,12 +62,6 @@ pub struct TuningWindow {
     entropies: Vec<f64>,
     /// Slot-major agreement flags, same layout as `entropies`.
     agrees: Vec<bool>,
-    /// Per-slot deployed exit decision.
-    exited: Vec<Option<usize>>,
-    /// Per-slot released-result correctness.
-    correct: Vec<bool>,
-    /// Per-slot serving batch size.
-    batch_size: Vec<u32>,
     /// Physical index of the oldest slot (0 until the ring first wraps).
     head: usize,
     len: usize,
@@ -104,9 +85,6 @@ impl Clone for TuningWindow {
             capacity: self.capacity,
             entropies: self.entropies.clone(),
             agrees: self.agrees.clone(),
-            exited: self.exited.clone(),
-            correct: self.correct.clone(),
-            batch_size: self.batch_size.clone(),
             head: self.head,
             len: self.len,
             version: self.version,
@@ -127,9 +105,6 @@ impl TuningWindow {
             capacity,
             entropies: vec![0.0; capacity * num_ramps],
             agrees: vec![false; capacity * num_ramps],
-            exited: vec![None; capacity],
-            correct: vec![false; capacity],
-            batch_size: vec![0; capacity],
             head: 0,
             len: 0,
             version: 0,
@@ -204,13 +179,7 @@ impl TuningWindow {
     }
 
     /// Append one request's observations, evicting the oldest once full.
-    pub fn push(
-        &mut self,
-        observations: &[RampObservation],
-        exited: Option<usize>,
-        correct: bool,
-        batch_size: u32,
-    ) {
+    pub fn push(&mut self, observations: &[RampObservation]) {
         debug_assert_eq!(observations.len(), self.num_ramps);
         let slot = if self.len == self.capacity {
             let evicted = self.head;
@@ -236,9 +205,6 @@ impl TuningWindow {
             self.hist[r * HIST_BUCKETS + hist_bucket(obs.entropy)] += 1;
             self.ramp_versions[r] += 1;
         }
-        self.exited[slot] = exited;
-        self.correct[slot] = correct;
-        self.batch_size[slot] = batch_size;
         self.version += 1;
     }
 
@@ -247,9 +213,6 @@ impl TuningWindow {
         self.num_ramps = num_ramps;
         self.entropies = vec![0.0; self.capacity * num_ramps];
         self.agrees = vec![false; self.capacity * num_ramps];
-        self.exited.fill(None);
-        self.correct.fill(false);
-        self.batch_size.fill(0);
         self.head = 0;
         self.len = 0;
         self.version += 1;
@@ -258,28 +221,6 @@ impl TuningWindow {
             *v = self.version;
         }
         self.hist = vec![0; num_ramps * HIST_BUCKETS];
-    }
-
-    /// Materialise the window as per-request records, oldest first (the
-    /// full-retune oracle path and offline consumers).
-    pub fn records(&self) -> Vec<RequestFeedback> {
-        (0..self.len)
-            .map(|i| {
-                let slot = (self.head + i) % self.capacity;
-                let base = slot * self.num_ramps;
-                RequestFeedback {
-                    observations: (0..self.num_ramps)
-                        .map(|r| RampObservation {
-                            entropy: self.entropies[base + r],
-                            agrees: self.agrees[base + r],
-                        })
-                        .collect(),
-                    exited: self.exited[slot],
-                    correct: self.correct[slot],
-                    batch_size: self.batch_size[slot],
-                }
-            })
-            .collect()
     }
 }
 
@@ -317,42 +258,9 @@ impl Monitor {
         self.num_ramps
     }
 
-    /// Shared bookkeeping for one request: everything except the tuning
-    /// window's observation columns.
-    #[inline]
-    fn note_request(&mut self, exited: Option<usize>, correct: bool) {
-        if self.accuracy_window.len() == self.accuracy_capacity {
-            self.accuracy_window.pop_front();
-        }
-        self.accuracy_window.push_back(correct);
-        if let Some(idx) = exited {
-            if idx < self.num_ramps {
-                self.ramp_exits[idx] += 1;
-            }
-        }
-        self.requests_since_adjust += 1;
-        self.total_requests += 1;
-        if correct {
-            self.total_correct += 1;
-        }
-    }
-
-    /// Record feedback for one request.
-    pub fn record(&mut self, feedback: RequestFeedback) {
-        debug_assert_eq!(feedback.observations.len(), self.num_ramps);
-        self.note_request(feedback.exited, feedback.correct);
-        self.tuning_window.push(
-            &feedback.observations,
-            feedback.exited,
-            feedback.correct,
-            feedback.batch_size,
-        );
-    }
-
     /// Ingest one delivered [`ProfileRecord`] wholesale: every request in the
-    /// batch enters the accuracy/tuning windows exactly as if fed one by one
-    /// through [`Monitor::record`], but via slice copies into the columnar
-    /// window — no per-request `Vec` is built.
+    /// batch enters the accuracy and tuning windows via slice copies into the
+    /// columnar window — no per-request `Vec` is built.
     pub fn record_batch(&mut self, record: &ProfileRecord) {
         debug_assert_eq!(record.num_ramps, self.num_ramps);
         debug_assert_eq!(
@@ -360,13 +268,21 @@ impl Monitor {
             record.releases.len() * record.num_ramps
         );
         for (i, release) in record.releases.iter().enumerate() {
-            self.note_request(release.exit, release.correct);
-            self.tuning_window.push(
-                record.request_observations(i),
-                release.exit,
-                release.correct,
-                record.batch_size,
-            );
+            if self.accuracy_window.len() == self.accuracy_capacity {
+                self.accuracy_window.pop_front();
+            }
+            self.accuracy_window.push_back(release.correct);
+            if let Some(idx) = release.exit {
+                if idx < self.num_ramps {
+                    self.ramp_exits[idx] += 1;
+                }
+            }
+            self.requests_since_adjust += 1;
+            self.total_requests += 1;
+            if release.correct {
+                self.total_correct += 1;
+            }
+            self.tuning_window.push(record.request_observations(i));
         }
     }
 
@@ -395,11 +311,6 @@ impl Monitor {
     /// The columnar tuning window (the incremental tuner's input).
     pub fn window(&self) -> &TuningWindow {
         &self.tuning_window
-    }
-
-    /// The recorded tuning window (oldest first).
-    pub fn tuning_records(&self) -> Vec<RequestFeedback> {
-        self.tuning_window.records()
     }
 
     /// Number of records currently in the tuning window.
@@ -451,19 +362,47 @@ mod tests {
     use apparate_exec::RequestRelease;
     use apparate_sim::SimTime;
 
-    fn feedback(entropies: &[f64], exited: Option<usize>, correct: bool) -> RequestFeedback {
-        RequestFeedback {
-            observations: entropies
+    /// A delivered batch in which request `i` observed `rows[i].0` at every
+    /// ramp, exited at `rows[i].1` and was released correct iff `rows[i].2`
+    /// (every ramp's agreement flag follows correctness).
+    fn batch(rows: &[(&[f64], Option<usize>, bool)]) -> ProfileRecord {
+        ProfileRecord {
+            completed_at: SimTime::ZERO,
+            batch_size: rows.len() as u32,
+            num_ramps: rows.first().map(|r| r.0.len()).unwrap_or(0),
+            observations: rows
                 .iter()
-                .map(|&e| RampObservation {
-                    entropy: e,
-                    agrees: correct,
+                .flat_map(|&(entropies, _, correct)| {
+                    entropies.iter().map(move |&entropy| RampObservation {
+                        entropy,
+                        agrees: correct,
+                    })
                 })
                 .collect(),
-            exited,
-            correct,
-            batch_size: 4,
+            releases: rows
+                .iter()
+                .enumerate()
+                .map(|(i, &(_, exit, correct))| RequestRelease {
+                    id: i as u64,
+                    exit,
+                    correct,
+                })
+                .collect(),
+            config_epoch: 0,
         }
+    }
+
+    /// Ingest one request as a single-request batch.
+    fn record(m: &mut Monitor, entropies: &[f64], exited: Option<usize>, correct: bool) {
+        m.record_batch(&batch(&[(entropies, exited, correct)]));
+    }
+
+    /// The entropies ramp `ramp` holds across the window's occupied slots,
+    /// ascending (slot order is not arrival order once the ring wraps).
+    fn held_entropies(w: &TuningWindow, ramp: usize) -> Vec<f64> {
+        let mut held: Vec<f64> = (0..w.len()).map(|s| w.entropy(s, ramp)).collect();
+        held.sort_by(f64::total_cmp);
+        held
     }
 
     #[test]
@@ -471,17 +410,18 @@ mod tests {
         let mut m = Monitor::new(2, 4, 16);
         assert_eq!(m.windowed_accuracy(), 1.0);
         for _ in 0..4 {
-            m.record(feedback(&[0.1, 0.1], Some(0), true));
+            record(&mut m, &[0.1, 0.1], Some(0), true);
         }
         assert!(m.accuracy_window_full());
         assert_eq!(m.windowed_accuracy(), 1.0);
-        for _ in 0..2 {
-            m.record(feedback(&[0.1, 0.1], Some(0), false));
-        }
+        m.record_batch(&batch(&[
+            (&[0.1, 0.1], Some(0), false),
+            (&[0.1, 0.1], Some(0), false),
+        ]));
         assert!((m.windowed_accuracy() - 0.5).abs() < 1e-9);
         // The window slides: four more correct results push the errors out.
         for _ in 0..4 {
-            m.record(feedback(&[0.1, 0.1], None, true));
+            record(&mut m, &[0.1, 0.1], None, true);
         }
         assert_eq!(m.windowed_accuracy(), 1.0);
         assert!(m.cumulative_accuracy() < 1.0);
@@ -496,7 +436,7 @@ mod tests {
                 1 => Some(2),
                 _ => None,
             };
-            m.record(feedback(&[0.5, 0.5, 0.5], exited, true));
+            record(&mut m, &[0.5, 0.5, 0.5], exited, true);
         }
         let rates = m.exit_rates();
         assert!((rates[0] - 0.4).abs() < 1e-9);
@@ -510,19 +450,19 @@ mod tests {
     fn tuning_window_is_bounded() {
         let mut m = Monitor::new(1, 16, 8);
         for i in 0..20 {
-            m.record(feedback(&[i as f64 / 20.0], None, true));
+            record(&mut m, &[i as f64 / 20.0], None, true);
         }
         assert_eq!(m.tuning_window_len(), 8);
-        let records = m.tuning_records();
-        // The oldest retained record is request 12 (entropy 0.6).
-        assert!((records[0].observations[0].entropy - 0.6).abs() < 1e-9);
+        // Requests 12..20 (entropies 0.6..0.95) survive; 0..12 were evicted.
+        let expected: Vec<f64> = (12..20).map(|i| i as f64 / 20.0).collect();
+        assert_eq!(held_entropies(m.window(), 0), expected);
     }
 
     #[test]
     fn reset_clears_ramp_state_but_keeps_accuracy() {
         let mut m = Monitor::new(2, 4, 8);
         for _ in 0..4 {
-            m.record(feedback(&[0.1, 0.1], Some(1), false));
+            record(&mut m, &[0.1, 0.1], Some(1), false);
         }
         assert!(m.windowed_accuracy() < 1.0);
         m.reset_for_new_ramps(3);
@@ -543,125 +483,47 @@ mod tests {
         assert_eq!(m.cumulative_accuracy(), 1.0);
     }
 
-    /// Build a flat ProfileRecord carrying the given per-request feedback.
-    fn profile_record(rows: &[RequestFeedback]) -> ProfileRecord {
-        let num_ramps = rows.first().map(|r| r.observations.len()).unwrap_or(0);
-        ProfileRecord {
-            completed_at: SimTime::ZERO,
-            batch_size: rows.first().map(|r| r.batch_size).unwrap_or(0),
-            num_ramps,
-            observations: rows
-                .iter()
-                .flat_map(|r| r.observations.iter().copied())
-                .collect(),
-            releases: rows
-                .iter()
-                .enumerate()
-                .map(|(i, r)| RequestRelease {
-                    id: i as u64,
-                    exit: r.exited,
-                    correct: r.correct,
-                })
-                .collect(),
-            config_epoch: 0,
-        }
-    }
-
-    #[test]
-    fn record_batch_matches_per_request_ingest() {
-        let rows: Vec<RequestFeedback> = (0..20)
-            .map(|i| {
-                feedback(
-                    &[i as f64 / 20.0, 1.0 - i as f64 / 20.0],
-                    if i % 3 == 0 { Some(i % 2) } else { None },
-                    i % 5 != 0,
-                )
-            })
-            .collect();
-        let mut one_by_one = Monitor::new(2, 4, 8);
-        for row in &rows {
-            one_by_one.record(row.clone());
-        }
-        let mut batched = Monitor::new(2, 4, 8);
-        batched.record_batch(&profile_record(&rows[..12]));
-        batched.record_batch(&profile_record(&rows[12..]));
-        assert_eq!(batched.windowed_accuracy(), one_by_one.windowed_accuracy());
-        assert_eq!(batched.exit_counts(), one_by_one.exit_counts());
-        assert_eq!(batched.total_requests(), one_by_one.total_requests());
-        assert_eq!(
-            batched.cumulative_accuracy(),
-            one_by_one.cumulative_accuracy()
-        );
-        let a = batched.tuning_records();
-        let b = one_by_one.tuning_records();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.exited, y.exited);
-            assert_eq!(x.correct, y.correct);
-            assert_eq!(x.batch_size, y.batch_size);
-            for (ox, oy) in x.observations.iter().zip(y.observations.iter()) {
-                assert_eq!(ox.entropy, oy.entropy);
-                assert_eq!(ox.agrees, oy.agrees);
-            }
-        }
-        assert_eq!(batched.window().version(), one_by_one.window().version());
-    }
-
     #[test]
     fn window_histograms_track_pushes_and_evictions() {
         let mut w = TuningWindow::new(1, 4);
         for i in 0..4 {
-            w.push(
-                &[RampObservation {
-                    entropy: 0.1 + 0.2 * i as f64,
-                    agrees: true,
-                }],
-                None,
-                true,
-                1,
-            );
+            w.push(&[RampObservation {
+                entropy: 0.1 + 0.2 * i as f64,
+                agrees: true,
+            }]);
         }
         // Mass at 0.1, 0.3, 0.5, 0.7; nothing above 0.8.
         assert!(!w.range_provably_empty(0, 0.0, 1.0));
         assert!(w.range_provably_empty(0, 0.8, 1.0));
         // Evict 0.1 (oldest) by pushing 0.9: low range empties, high fills.
-        w.push(
-            &[RampObservation {
-                entropy: 0.9,
-                agrees: true,
-            }],
-            None,
-            true,
-            1,
-        );
+        w.push(&[RampObservation {
+            entropy: 0.9,
+            agrees: true,
+        }]);
         assert!(w.range_provably_empty(0, 0.0, 0.05));
         assert!(!w.range_provably_empty(0, 0.8, 1.0));
         assert_eq!(w.len(), 4);
-        // The materialised view drops the evicted record.
-        let records = w.records();
-        assert!((records[0].observations[0].entropy - 0.3).abs() < 1e-12);
-        assert!((records[3].observations[0].entropy - 0.9).abs() < 1e-12);
+        // The evicted observation is gone from the slots too.
+        let held = held_entropies(&w, 0);
+        for (got, want) in held.iter().zip([0.3, 0.5, 0.7, 0.9]) {
+            assert!((got - want).abs() < 1e-12, "{held:?}");
+        }
     }
 
     #[test]
     fn window_versions_advance_on_every_mutation() {
         let mut w = TuningWindow::new(2, 4);
         let v0 = w.version();
-        w.push(
-            &[
-                RampObservation {
-                    entropy: 0.2,
-                    agrees: true,
-                },
-                RampObservation {
-                    entropy: 0.4,
-                    agrees: false,
-                },
-            ],
-            Some(0),
-            true,
-            2,
-        );
+        w.push(&[
+            RampObservation {
+                entropy: 0.2,
+                agrees: true,
+            },
+            RampObservation {
+                entropy: 0.4,
+                agrees: false,
+            },
+        ]);
         assert!(w.version() > v0);
         assert!(w.ramp_version(0) > 0 && w.ramp_version(1) > 0);
         let v1 = w.version();

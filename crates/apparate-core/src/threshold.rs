@@ -10,12 +10,20 @@
 //! The search itself is the paper's greedy hill climb: thresholds start at 0,
 //! each round raises the single threshold that buys the most additional
 //! latency savings per unit of additional accuracy loss, with
-//! multiplicative-increase / multiplicative-decrease step sizing. A full grid
-//! search is also provided for the Figure 10 comparison.
+//! multiplicative-increase / multiplicative-decrease step sizing.
+//!
+//! Every tune — the controller's online rounds, the offline warm starts, the
+//! oneshot-tuned baseline and the sweep grids — runs [`IncrementalTuner`]
+//! over the columnar [`TuningWindow`], evaluating each candidate as a delta
+//! against the committed configuration. [`ThresholdEvaluator`] and
+//! [`greedy_tune`] walk the same hill climb with a full re-evaluation per
+//! candidate; they are the reference oracle, and in debug builds every
+//! [`IncrementalTuner::tune`] re-runs [`greedy_tune`] on its input and
+//! asserts the outcomes are identical. [`grid_tune`] is the exhaustive
+//! Figure 10 comparison.
 
-use crate::monitor::{RequestFeedback, TuningWindow};
+use crate::monitor::TuningWindow;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Evaluation of one threshold configuration over a window of records.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -28,9 +36,19 @@ pub struct ConfigEvaluation {
     pub exit_rate: f64,
 }
 
-/// Evaluator over a recorded window.
+/// The evaluation of the all-zero configuration: nothing exits, every
+/// request counts correct. Also what any configuration evaluates to over an
+/// empty window.
+const NO_EXITS: ConfigEvaluation = ConfigEvaluation {
+    accuracy: 1.0,
+    mean_savings_us: 0.0,
+    exit_rate: 0.0,
+};
+
+/// Full evaluator over a tuning window: every configuration is scored by a
+/// pass over every held request (the reference oracle).
 pub struct ThresholdEvaluator<'a> {
-    records: &'a [RequestFeedback],
+    window: &'a TuningWindow,
     /// Latency saved when a request exits at ramp `i` instead of running to the
     /// end (µs), including the ramp overheads it still pays.
     savings_us: &'a [f64],
@@ -38,12 +56,10 @@ pub struct ThresholdEvaluator<'a> {
 
 impl<'a> ThresholdEvaluator<'a> {
     /// Create an evaluator. `savings_us[i]` must correspond to ramp `i` of the
-    /// recorded observations.
-    pub fn new(records: &'a [RequestFeedback], savings_us: &'a [f64]) -> Self {
-        ThresholdEvaluator {
-            records,
-            savings_us,
-        }
+    /// window.
+    pub fn new(window: &'a TuningWindow, savings_us: &'a [f64]) -> Self {
+        debug_assert_eq!(window.num_ramps(), savings_us.len());
+        ThresholdEvaluator { window, savings_us }
     }
 
     /// Number of ramps being tuned.
@@ -51,37 +67,33 @@ impl<'a> ThresholdEvaluator<'a> {
         self.savings_us.len()
     }
 
-    /// Evaluate a threshold configuration.
+    /// Evaluate a threshold configuration. Slots are visited in physical
+    /// order, not arrival order; the result does not depend on the order
+    /// because it only sums integer counts and folds savings by ramp.
     pub fn evaluate(&self, thresholds: &[f64]) -> ConfigEvaluation {
         debug_assert_eq!(thresholds.len(), self.savings_us.len());
-        if self.records.is_empty() {
-            return ConfigEvaluation {
-                accuracy: 1.0,
-                mean_savings_us: 0.0,
-                exit_rate: 0.0,
-            };
+        let len = self.window.len();
+        if len == 0 {
+            return NO_EXITS;
         }
         let mut correct = 0usize;
         let mut exit_counts = vec![0u64; self.savings_us.len()];
         let mut exits = 0usize;
-        for record in self.records {
-            let exit = record
-                .observations
-                .iter()
-                .zip(thresholds.iter())
-                .position(|(obs, &thr)| thr > 0.0 && obs.entropy <= thr);
+        for slot in 0..len {
+            let exit = (0..thresholds.len())
+                .find(|&r| thresholds[r] > 0.0 && self.window.entropy(slot, r) <= thresholds[r]);
             match exit {
-                Some(idx) => {
+                Some(r) => {
                     exits += 1;
-                    if record.observations[idx].agrees {
+                    if self.window.agrees(slot, r) {
                         correct += 1;
                     }
-                    exit_counts[idx] += 1;
+                    exit_counts[r] += 1;
                 }
                 None => correct += 1,
             }
         }
-        let n = self.records.len() as f64;
+        let n = len as f64;
         ConfigEvaluation {
             accuracy: correct as f64 / n,
             mean_savings_us: mean_savings_from_counts(&exit_counts, self.savings_us, n),
@@ -91,10 +103,10 @@ impl<'a> ThresholdEvaluator<'a> {
 }
 
 /// Fold per-ramp exit counts into a mean-savings figure. Summing in ramp
-/// index order (not record order) makes the result independent of how the
+/// index order (not request order) makes the result independent of how the
 /// window was traversed, so the incremental tuner reproduces the full
 /// evaluator bit for bit.
-pub(crate) fn mean_savings_from_counts(exit_counts: &[u64], savings_us: &[f64], n: f64) -> f64 {
+fn mean_savings_from_counts(exit_counts: &[u64], savings_us: &[f64], n: f64) -> f64 {
     let mut savings = 0.0f64;
     for (count, per_exit) in exit_counts.iter().zip(savings_us.iter()) {
         if *count > 0 {
@@ -105,7 +117,7 @@ pub(crate) fn mean_savings_from_counts(exit_counts: &[u64], savings_us: &[f64], 
 }
 
 /// Result of a tuning run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TuningOutcome {
     /// The selected thresholds.
     pub thresholds: Vec<f64>,
@@ -113,9 +125,6 @@ pub struct TuningOutcome {
     pub evaluation: ConfigEvaluation,
     /// Number of configuration evaluations performed.
     pub evaluations: usize,
-    /// Wall-clock runtime of the search in microseconds (real time, not
-    /// simulated — this is the controller CPU cost reported in Figure 10).
-    pub runtime_us: f64,
 }
 
 /// Parameters of the greedy search.
@@ -146,18 +155,37 @@ impl Default for GreedyParams {
     }
 }
 
-/// Algorithm 1: greedy hill-climbing threshold tuning.
-pub fn greedy_tune(evaluator: &ThresholdEvaluator<'_>, params: GreedyParams) -> TuningOutcome {
-    // lint:allow(D001, reason = "wall-time metric only, never feeds a decision: runtime_us is reported in TuningOutcome and read by nothing")
-    let start = Instant::now();
-    let n = evaluator.num_ramps();
-    let mut thresholds = vec![0.0f64; n];
-    let mut steps = vec![params.initial_step; n];
-    let mut evaluations = 0usize;
+/// The one step in which the two Algorithm 1 implementations differ: how a
+/// single-ramp raise is evaluated, and what committing it updates.
+trait RaiseStep {
+    /// Evaluate the committed `thresholds` with ramp `ramp` raised to
+    /// `proposed`; `current` is the committed configuration's evaluation.
+    fn evaluate_raise(
+        &mut self,
+        thresholds: &[f64],
+        ramp: usize,
+        proposed: f64,
+        current: ConfigEvaluation,
+    ) -> ConfigEvaluation;
+
+    /// Commit raising ramp `ramp` from `thresholds[ramp]` to `raised`.
+    fn commit_raise(&mut self, thresholds: &[f64], ramp: usize, raised: f64);
+}
+
+/// Algorithm 1's hill climb over `num_ramps` thresholds, starting from the
+/// all-zero configuration (evaluated as `start`).
+fn hill_climb(
+    num_ramps: usize,
+    params: GreedyParams,
+    start: ConfigEvaluation,
+    mut step: impl RaiseStep,
+) -> TuningOutcome {
+    let mut thresholds = vec![0.0f64; num_ramps];
+    let mut steps = vec![params.initial_step; num_ramps];
+    let mut evaluations = 1usize;
     let accuracy_floor = 1.0 - params.accuracy_loss_budget;
     let threshold_cap = params.max_threshold.clamp(0.0, 1.0);
-    let mut current = evaluator.evaluate(&thresholds);
-    evaluations += 1;
+    let mut current = start;
     // Safety bound far above anything the algorithm needs; prevents a
     // pathological window from spinning forever.
     let max_rounds = 10_000usize;
@@ -165,15 +193,13 @@ pub fn greedy_tune(evaluator: &ThresholdEvaluator<'_>, params: GreedyParams) -> 
         let mut best: Option<(usize, f64, ConfigEvaluation)> = None;
         let mut overstepped: Vec<usize> = Vec::new();
         let mut any_candidate = false;
-        for ramp in 0..n {
+        for ramp in 0..num_ramps {
             let proposed = (thresholds[ramp] + steps[ramp]).min(threshold_cap);
             if proposed <= thresholds[ramp] {
-                continue; // already saturated at 1.0
+                continue; // already saturated at the cap
             }
             any_candidate = true;
-            let mut candidate = thresholds.clone();
-            candidate[ramp] = proposed;
-            let eval = evaluator.evaluate(&candidate);
+            let eval = step.evaluate_raise(&thresholds, ramp, proposed, current);
             evaluations += 1;
             if eval.accuracy + 1e-12 < accuracy_floor {
                 overstepped.push(ramp);
@@ -195,7 +221,9 @@ pub fn greedy_tune(evaluator: &ThresholdEvaluator<'_>, params: GreedyParams) -> 
         }
         match best {
             Some((ramp, _, eval)) => {
-                thresholds[ramp] = (thresholds[ramp] + steps[ramp]).min(threshold_cap);
+                let raised = (thresholds[ramp] + steps[ramp]).min(threshold_cap);
+                step.commit_raise(&thresholds, ramp, raised);
+                thresholds[ramp] = raised;
                 steps[ramp] *= 2.0; // multiplicative increase on a promising path
                 current = eval;
             }
@@ -216,8 +244,33 @@ pub fn greedy_tune(evaluator: &ThresholdEvaluator<'_>, params: GreedyParams) -> 
         thresholds,
         evaluation: current,
         evaluations,
-        runtime_us: start.elapsed().as_secs_f64() * 1e6,
     }
+}
+
+/// The reference raise: re-evaluate the whole candidate configuration.
+impl RaiseStep for &ThresholdEvaluator<'_> {
+    fn evaluate_raise(
+        &mut self,
+        thresholds: &[f64],
+        ramp: usize,
+        proposed: f64,
+        _current: ConfigEvaluation,
+    ) -> ConfigEvaluation {
+        let mut candidate = thresholds.to_vec();
+        candidate[ramp] = proposed;
+        self.evaluate(&candidate)
+    }
+
+    fn commit_raise(&mut self, _thresholds: &[f64], _ramp: usize, _raised: f64) {}
+}
+
+/// Algorithm 1: greedy hill-climbing threshold tuning with a full
+/// re-evaluation per candidate — the reference oracle for
+/// [`IncrementalTuner::tune`].
+pub fn greedy_tune(evaluator: &ThresholdEvaluator<'_>, params: GreedyParams) -> TuningOutcome {
+    let n = evaluator.num_ramps();
+    let start = evaluator.evaluate(&vec![0.0; n]);
+    hill_climb(n, params, start, evaluator)
 }
 
 /// A per-ramp slot column sorted by entropy, cached across tunes.
@@ -258,8 +311,7 @@ struct CachedTune {
 /// sum as [`ThresholdEvaluator::evaluate`] — so every candidate evaluation is
 /// **bit-identical** to the full evaluator's, and the search walks the exact
 /// trajectory [`greedy_tune`] walks (including counting the same number of
-/// `evaluations`). Equivalence is asserted against the full-retune oracle in
-/// this module's tests and by the `tuning-equivalence` CI gate.
+/// `evaluations`). Debug builds assert this on every tune.
 ///
 /// Incrementality across tunes:
 /// * the sorted columns are cached keyed on the window's per-ramp versions —
@@ -332,238 +384,209 @@ impl IncrementalTuner {
         (lo, hi)
     }
 
-    /// Evaluate raising ramp `r` from `t` to `p` as a delta against the
-    /// committed state. Bit-identical to
-    /// `ThresholdEvaluator::evaluate(candidate)` over the same records.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_candidate(
+    /// Move every slot in ramp `r`'s column range `lo..hi` that does not
+    /// already exit at an earlier ramp to exit at `r`. With `commit` the
+    /// move updates the committed exit counts and assignments; without it,
+    /// a scratch copy of the counts. Returns the change in correct releases
+    /// and in exits.
+    fn shift_exits(
         &mut self,
         window: &TuningWindow,
-        savings_us: &[f64],
         r: usize,
-        t: f64,
-        p: f64,
-        correct: u64,
-        exits: u64,
-        current: ConfigEvaluation,
-    ) -> ConfigEvaluation {
-        let n = window.len() as f64;
-        // The histogram precheck: no recorded entropy in the raised range
-        // means no request changes outcome — the candidate evaluates to the
-        // committed evaluation, floats and all.
-        if window.range_provably_empty(r, t, p) {
-            return current;
-        }
-        let (lo, hi) = self.affected_range(window, r, t, p);
-        if lo == hi {
-            return current;
-        }
-        self.scratch_counts.clear();
-        self.scratch_counts.extend_from_slice(&self.exit_counts);
-        let mut d_correct: i64 = 0;
-        let mut d_exits: i64 = 0;
-        for &s32 in &self.columns[r].slots[lo..hi] {
+        (lo, hi): (usize, usize),
+        commit: bool,
+    ) -> (i64, i64) {
+        let IncrementalTuner {
+            columns,
+            current_exit,
+            exit_counts,
+            scratch_counts,
+            ..
+        } = self;
+        let counts = if commit {
+            exit_counts
+        } else {
+            scratch_counts.clear();
+            scratch_counts.extend_from_slice(exit_counts);
+            scratch_counts
+        };
+        let mut d_correct = 0i64;
+        let mut d_exits = 0i64;
+        for &s32 in &columns[r].slots[lo..hi] {
             let s = s32 as usize;
-            match self.current_exit[s] {
+            match current_exit[s] {
                 // Exits at an earlier ramp already; ramp r never sees it.
-                Some(j) if j < r => {}
+                Some(j) if j < r => continue,
                 // `j == r` is impossible (its entropy was above `t`), so the
                 // request moves its exit from a later ramp `j` up to `r`.
                 Some(j) => {
-                    self.scratch_counts[j] -= 1;
-                    self.scratch_counts[r] += 1;
-                    d_correct += window.agrees(s, r) as i64 - window.agrees(s, j) as i64;
+                    counts[j] -= 1;
+                    d_correct -= window.agrees(s, j) as i64;
                 }
                 // Previously ran to completion (counted correct by
                 // definition); now exits at `r`.
                 None => {
-                    self.scratch_counts[r] += 1;
                     d_exits += 1;
-                    d_correct += window.agrees(s, r) as i64 - 1;
+                    d_correct -= 1;
                 }
             }
+            counts[r] += 1;
+            d_correct += window.agrees(s, r) as i64;
+            if commit {
+                current_exit[s] = Some(r);
+            }
         }
-        ConfigEvaluation {
-            accuracy: (correct as i64 + d_correct) as f64 / n,
-            mean_savings_us: mean_savings_from_counts(&self.scratch_counts, savings_us, n),
-            exit_rate: (exits as i64 + d_exits) as f64 / n,
-        }
+        (d_correct, d_exits)
     }
 
-    /// Run Algorithm 1 over the window. Produces the same
-    /// [`TuningOutcome`] (thresholds, evaluation, evaluation count) as
-    /// `greedy_tune(&ThresholdEvaluator::new(&window.records(), savings_us), params)`,
-    /// exactly — only `runtime_us` (read by nothing) differs.
+    /// Run Algorithm 1 over the window. Produces the same [`TuningOutcome`]
+    /// (thresholds, evaluation, evaluation count) as
+    /// `greedy_tune(&ThresholdEvaluator::new(window, savings_us), params)`,
+    /// exactly; debug builds run that oracle on every call, cache hits
+    /// included, and panic on any difference.
     pub fn tune(
         &mut self,
         window: &TuningWindow,
         savings_us: &[f64],
         params: GreedyParams,
     ) -> TuningOutcome {
-        // lint:allow(D001, reason = "wall-time metric only, never feeds a decision: runtime_us is reported in TuningOutcome and read by nothing")
-        let start = Instant::now();
-        if let Some(cache) = &self.last {
-            if cache.window_id == window.id()
-                && cache.window_version == window.version()
-                && cache.params == params
-                && cache.savings_us == savings_us
+        let outcome = match &self.last {
+            Some(cache)
+                if cache.window_id == window.id()
+                    && cache.window_version == window.version()
+                    && cache.params == params
+                    && cache.savings_us == savings_us =>
             {
-                let mut outcome = cache.outcome.clone();
-                outcome.runtime_us = start.elapsed().as_secs_f64() * 1e6;
-                return outcome;
+                cache.outcome.clone()
             }
+            _ => {
+                let outcome = self.climb(window, savings_us, params);
+                self.last = Some(CachedTune {
+                    window_id: window.id(),
+                    window_version: window.version(),
+                    params,
+                    savings_us: savings_us.to_vec(),
+                    outcome: outcome.clone(),
+                });
+                outcome
+            }
+        };
+        #[cfg(debug_assertions)]
+        {
+            let oracle = greedy_tune(&ThresholdEvaluator::new(window, savings_us), params);
+            assert_eq!(
+                outcome, oracle,
+                "IncrementalTuner::tune diverged from the greedy_tune oracle"
+            );
         }
+        outcome
+    }
+
+    /// The uncached tune: reset the committed state to the all-zero
+    /// configuration and hill-climb with delta evaluation.
+    fn climb(
+        &mut self,
+        window: &TuningWindow,
+        savings_us: &[f64],
+        params: GreedyParams,
+    ) -> TuningOutcome {
         let n = window.num_ramps();
         debug_assert_eq!(savings_us.len(), n);
-        let len = window.len();
         self.ensure_columns(window);
-        // Committed state for the all-zero starting configuration: nothing
-        // exits, every request counts correct.
         self.current_exit.clear();
-        self.current_exit.resize(len, None);
+        self.current_exit.resize(window.len(), None);
         self.exit_counts.clear();
         self.exit_counts.resize(n, 0);
-        let mut correct = len as u64;
-        let mut exits = 0u64;
-        let mut thresholds = vec![0.0f64; n];
-        let mut steps = vec![params.initial_step; n];
-        let mut evaluations = 1usize;
-        let accuracy_floor = 1.0 - params.accuracy_loss_budget;
-        let threshold_cap = params.max_threshold.clamp(0.0, 1.0);
-        // `ThresholdEvaluator::evaluate` on an empty window short-circuits to
-        // this same constant; on a non-empty window the zero configuration
-        // divides len/len = 1.0 exactly.
-        let mut current = ConfigEvaluation {
-            accuracy: 1.0,
-            mean_savings_us: 0.0,
-            exit_rate: 0.0,
+        let delta = DeltaStep {
+            tuner: self,
+            window,
+            savings_us,
+            correct: window.len() as u64,
+            exits: 0,
         };
-        let max_rounds = 10_000usize;
-        for _ in 0..max_rounds {
-            let mut best: Option<(usize, f64, ConfigEvaluation)> = None;
-            let mut overstepped: Vec<usize> = Vec::new();
-            let mut any_candidate = false;
-            for ramp in 0..n {
-                let proposed = (thresholds[ramp] + steps[ramp]).min(threshold_cap);
-                if proposed <= thresholds[ramp] {
-                    continue; // already saturated
-                }
-                any_candidate = true;
-                let eval = if len == 0 {
-                    current // empty window: every configuration evaluates alike
-                } else {
-                    self.evaluate_candidate(
-                        window,
-                        savings_us,
-                        ramp,
-                        thresholds[ramp],
-                        proposed,
-                        correct,
-                        exits,
-                        current,
-                    )
-                };
-                evaluations += 1;
-                if eval.accuracy + 1e-12 < accuracy_floor {
-                    overstepped.push(ramp);
-                    continue;
-                }
-                let extra_savings = eval.mean_savings_us - current.mean_savings_us;
-                let extra_loss = (current.accuracy - eval.accuracy).max(1e-6);
-                let score = extra_savings / extra_loss;
-                let better = match &best {
-                    None => true,
-                    Some((_, best_score, _)) => score > *best_score,
-                };
-                if better {
-                    best = Some((ramp, score, eval));
-                }
-            }
-            if !any_candidate {
-                break;
-            }
-            match best {
-                Some((ramp, _, eval)) => {
-                    let old = thresholds[ramp];
-                    let new = (old + steps[ramp]).min(threshold_cap);
-                    // Commit the winner: replay its delta into the live state.
-                    if len > 0 {
-                        let (lo, hi) = self.affected_range(window, ramp, old, new);
-                        for i in lo..hi {
-                            let s = self.columns[ramp].slots[i] as usize;
-                            match self.current_exit[s] {
-                                Some(j) if j < ramp => {}
-                                Some(j) => {
-                                    self.exit_counts[j] -= 1;
-                                    self.exit_counts[ramp] += 1;
-                                    correct = (correct as i64 + window.agrees(s, ramp) as i64
-                                        - window.agrees(s, j) as i64)
-                                        as u64;
-                                    self.current_exit[s] = Some(ramp);
-                                }
-                                None => {
-                                    self.exit_counts[ramp] += 1;
-                                    exits += 1;
-                                    correct =
-                                        (correct as i64 + window.agrees(s, ramp) as i64 - 1) as u64;
-                                    self.current_exit[s] = Some(ramp);
-                                }
-                            }
-                        }
-                    }
-                    thresholds[ramp] = new;
-                    steps[ramp] *= 2.0;
-                    current = eval;
-                }
-                None => {
-                    if steps.iter().all(|&s| s <= params.smallest_step) {
-                        break;
-                    }
-                    for &ramp in &overstepped {
-                        steps[ramp] /= 2.0;
-                    }
-                    if overstepped.is_empty() {
-                        break;
-                    }
-                }
-            }
+        hill_climb(n, params, NO_EXITS, delta)
+    }
+}
+
+/// The incremental raise: evaluate a candidate as a delta against the
+/// tuner's committed state, and replay the winner's delta into it.
+struct DeltaStep<'a> {
+    tuner: &'a mut IncrementalTuner,
+    window: &'a TuningWindow,
+    savings_us: &'a [f64],
+    /// Correct releases under the committed thresholds.
+    correct: u64,
+    /// Exiting requests under the committed thresholds.
+    exits: u64,
+}
+
+impl RaiseStep for DeltaStep<'_> {
+    fn evaluate_raise(
+        &mut self,
+        thresholds: &[f64],
+        ramp: usize,
+        proposed: f64,
+        current: ConfigEvaluation,
+    ) -> ConfigEvaluation {
+        let t = thresholds[ramp];
+        // The histogram precheck: no recorded entropy in the raised range
+        // (always so in an empty window) means no request changes outcome —
+        // the candidate evaluates to the committed evaluation, floats and all.
+        if self.window.range_provably_empty(ramp, t, proposed) {
+            return current;
         }
-        let outcome = TuningOutcome {
-            thresholds,
-            evaluation: current,
-            evaluations,
-            runtime_us: start.elapsed().as_secs_f64() * 1e6,
-        };
-        self.last = Some(CachedTune {
-            window_id: window.id(),
-            window_version: window.version(),
-            params,
-            savings_us: savings_us.to_vec(),
-            outcome: outcome.clone(),
-        });
-        outcome
+        let range = self.tuner.affected_range(self.window, ramp, t, proposed);
+        if range.0 == range.1 {
+            return current;
+        }
+        let (d_correct, d_exits) = self.tuner.shift_exits(self.window, ramp, range, false);
+        let n = self.window.len() as f64;
+        ConfigEvaluation {
+            accuracy: (self.correct as i64 + d_correct) as f64 / n,
+            mean_savings_us: mean_savings_from_counts(
+                &self.tuner.scratch_counts,
+                self.savings_us,
+                n,
+            ),
+            exit_rate: (self.exits as i64 + d_exits) as f64 / n,
+        }
+    }
+
+    fn commit_raise(&mut self, thresholds: &[f64], ramp: usize, raised: f64) {
+        let range = self
+            .tuner
+            .affected_range(self.window, ramp, thresholds[ramp], raised);
+        let (d_correct, d_exits) = self.tuner.shift_exits(self.window, ramp, range, true);
+        self.correct = (self.correct as i64 + d_correct) as u64;
+        self.exits = (self.exits as i64 + d_exits) as u64;
     }
 }
 
 /// Exhaustive grid search over thresholds in `{0, step, 2·step, …, 1}` per
-/// ramp; the Figure 10 baseline. Cost is `O((1/step + 1)^R)` evaluations.
+/// ramp; the Figure 10 baseline. Cost is `O((⌈1/step⌉ + 1)^R)` evaluations.
+///
+/// # Panics
+/// If `step` is not a positive finite number.
 pub fn grid_tune(
     evaluator: &ThresholdEvaluator<'_>,
     accuracy_loss_budget: f64,
     step: f64,
 ) -> TuningOutcome {
-    // lint:allow(D001, reason = "wall-time metric only, never feeds a decision: runtime_us is reported in TuningOutcome and read by nothing")
-    let start = Instant::now();
+    assert!(
+        step > 0.0 && step.is_finite(),
+        "grid_tune step must be positive and finite, got {step}"
+    );
     let n = evaluator.num_ramps();
-    let levels: Vec<f64> = {
-        let mut v = Vec::new();
-        let mut t = 0.0f64;
-        while t < 1.0 + 1e-9 {
-            v.push(t.min(1.0));
-            t += step;
+    // Level `i` is computed as `i·step` (no accumulated float error), capped
+    // so the lattice ends at exactly 1.0.
+    let mut levels = Vec::new();
+    for i in 0.. {
+        let level = (i as f64 * step).min(1.0);
+        levels.push(level);
+        if level == 1.0 {
+            break;
         }
-        v
-    };
+    }
     let accuracy_floor = 1.0 - accuracy_loss_budget;
     let mut best_thresholds = vec![0.0f64; n];
     let mut best_eval = evaluator.evaluate(&best_thresholds);
@@ -574,13 +597,11 @@ pub fn grid_tune(
         let mut pos = 0;
         loop {
             if pos == n {
-                let outcome = TuningOutcome {
+                return TuningOutcome {
                     thresholds: best_thresholds,
                     evaluation: best_eval,
                     evaluations,
-                    runtime_us: start.elapsed().as_secs_f64() * 1e6,
                 };
-                return outcome;
             }
             indices[pos] += 1;
             if indices[pos] < levels.len() {
@@ -607,36 +628,68 @@ mod tests {
     use apparate_exec::RampObservation;
     use apparate_sim::DeterministicRng;
 
-    /// Build a synthetic window with two ramps whose entropies fall with
-    /// difficulty; ramp 1 is deeper (more accurate, lower entropy).
-    fn window(n: usize, seed: u64) -> Vec<RequestFeedback> {
+    /// Per-request observations at `k` ramps at staggered depths whose
+    /// entropies fall with difficulty: ramp `r` is deeper (more accurate,
+    /// lower entropy) than ramp `r - 1`.
+    fn observations_k(n: usize, seed: u64, k: usize) -> Vec<Vec<RampObservation>> {
         let rng = DeterministicRng::new(seed);
         (0..n)
             .map(|i| {
                 let difficulty = rng.unit_draw(&[i as u64, 1]);
                 let noise = rng.normal_draw(&[i as u64, 2]) * 0.05;
-                let shallow_margin = 0.55 - difficulty + noise;
-                let deep_margin = 0.85 - difficulty + noise;
+                (0..k)
+                    .map(|r| {
+                        let margin = 0.45 + 0.12 * r as f64 - difficulty + noise;
+                        RampObservation {
+                            entropy: (1.0 / (1.0 + (margin / 0.1).exp())).clamp(0.0, 1.0),
+                            agrees: margin > 0.0,
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Two-ramp observations: a shallow ramp and a much deeper one.
+    fn observations(n: usize, seed: u64) -> Vec<Vec<RampObservation>> {
+        let rng = DeterministicRng::new(seed);
+        (0..n)
+            .map(|i| {
+                let difficulty = rng.unit_draw(&[i as u64, 1]);
+                let noise = rng.normal_draw(&[i as u64, 2]) * 0.05;
                 let obs = |margin: f64| RampObservation {
                     entropy: (1.0 / (1.0 + (margin / 0.1).exp())).clamp(0.0, 1.0),
                     agrees: margin > 0.0,
                 };
-                RequestFeedback {
-                    observations: vec![obs(shallow_margin), obs(deep_margin)],
-                    exited: None,
-                    correct: true,
-                    batch_size: 1,
-                }
+                vec![
+                    obs(0.55 - difficulty + noise),
+                    obs(0.85 - difficulty + noise),
+                ]
             })
             .collect()
+    }
+
+    /// Load observations into a `num_ramps`-wide window sized to hold them
+    /// all.
+    fn window_of(rows: &[Vec<RampObservation>], num_ramps: usize) -> TuningWindow {
+        let mut w = TuningWindow::new(num_ramps, rows.len().max(1));
+        for row in rows {
+            w.push(row);
+        }
+        w
+    }
+
+    /// A two-ramp window of `n` synthetic requests.
+    fn window(n: usize, seed: u64) -> TuningWindow {
+        window_of(&observations(n, seed), 2)
     }
 
     const SAVINGS: [f64; 2] = [10_000.0, 4_000.0];
 
     #[test]
     fn zero_thresholds_never_exit() {
-        let records = window(200, 1);
-        let eval = ThresholdEvaluator::new(&records, &SAVINGS).evaluate(&[0.0, 0.0]);
+        let w = window(200, 1);
+        let eval = ThresholdEvaluator::new(&w, &SAVINGS).evaluate(&[0.0, 0.0]);
         assert_eq!(eval.exit_rate, 0.0);
         assert_eq!(eval.accuracy, 1.0);
         assert_eq!(eval.mean_savings_us, 0.0);
@@ -644,8 +697,8 @@ mod tests {
 
     #[test]
     fn evaluation_is_monotone_in_thresholds() {
-        let records = window(400, 2);
-        let evaluator = ThresholdEvaluator::new(&records, &SAVINGS);
+        let w = window(400, 2);
+        let evaluator = ThresholdEvaluator::new(&w, &SAVINGS);
         let mut last_exit = 0.0;
         let mut last_acc = 1.0;
         for thr in [0.1, 0.3, 0.5, 0.7, 0.9] {
@@ -659,8 +712,8 @@ mod tests {
 
     #[test]
     fn greedy_respects_accuracy_budget() {
-        let records = window(500, 3);
-        let evaluator = ThresholdEvaluator::new(&records, &SAVINGS);
+        let w = window(500, 3);
+        let evaluator = ThresholdEvaluator::new(&w, &SAVINGS);
         let outcome = greedy_tune(&evaluator, GreedyParams::default());
         assert!(outcome.evaluation.accuracy >= 0.99 - 1e-9);
         assert!(
@@ -672,8 +725,8 @@ mod tests {
 
     #[test]
     fn greedy_matches_grid_closely_but_much_cheaper() {
-        let records = window(300, 4);
-        let evaluator = ThresholdEvaluator::new(&records, &SAVINGS);
+        let w = window(300, 4);
+        let evaluator = ThresholdEvaluator::new(&w, &SAVINGS);
         let greedy = greedy_tune(&evaluator, GreedyParams::default());
         let grid = grid_tune(&evaluator, 0.01, 0.1);
         assert!(grid.evaluation.accuracy >= 0.99 - 1e-9);
@@ -694,8 +747,8 @@ mod tests {
 
     #[test]
     fn tighter_budget_gives_fewer_savings() {
-        let records = window(400, 5);
-        let evaluator = ThresholdEvaluator::new(&records, &SAVINGS);
+        let w = window(400, 5);
+        let evaluator = ThresholdEvaluator::new(&w, &SAVINGS);
         let loose = greedy_tune(
             &evaluator,
             GreedyParams {
@@ -716,8 +769,8 @@ mod tests {
 
     #[test]
     fn empty_window_is_benign() {
-        let records: Vec<RequestFeedback> = Vec::new();
-        let evaluator = ThresholdEvaluator::new(&records, &SAVINGS);
+        let w = window(0, 0);
+        let evaluator = ThresholdEvaluator::new(&w, &SAVINGS);
         let outcome = greedy_tune(&evaluator, GreedyParams::default());
         assert_eq!(outcome.evaluation.accuracy, 1.0);
         assert_eq!(outcome.evaluation.mean_savings_us, 0.0);
@@ -725,63 +778,56 @@ mod tests {
 
     #[test]
     fn grid_search_explores_the_full_lattice() {
-        let records = window(50, 6);
-        let evaluator = ThresholdEvaluator::new(&records, &SAVINGS);
+        let w = window(50, 6);
+        let evaluator = ThresholdEvaluator::new(&w, &SAVINGS);
         let grid = grid_tune(&evaluator, 0.01, 0.25);
         // 5 levels per ramp (0, .25, .5, .75, 1.0) over 2 ramps = 25 configs.
         assert_eq!(grid.evaluations, 25);
     }
 
-    /// Like [`window`] but with `k` ramps at staggered depths.
-    fn window_k(n: usize, seed: u64, k: usize) -> Vec<RequestFeedback> {
-        let rng = DeterministicRng::new(seed);
-        (0..n)
+    #[test]
+    fn grid_lattice_ends_at_exactly_one() {
+        // One ramp, a budget nothing can violate (every exit agrees) and
+        // savings that grow with the threshold: the best configuration is the
+        // top level, so it reports the lattice's last value.
+        let rows: Vec<Vec<RampObservation>> = (0..=20)
             .map(|i| {
-                let difficulty = rng.unit_draw(&[i as u64, 1]);
-                let noise = rng.normal_draw(&[i as u64, 2]) * 0.05;
-                RequestFeedback {
-                    observations: (0..k)
-                        .map(|r| {
-                            let margin = 0.45 + 0.12 * r as f64 - difficulty + noise;
-                            RampObservation {
-                                entropy: (1.0 / (1.0 + (margin / 0.1).exp())).clamp(0.0, 1.0),
-                                agrees: margin > 0.0,
-                            }
-                        })
-                        .collect(),
-                    exited: None,
-                    correct: true,
-                    batch_size: 1,
-                }
+                vec![RampObservation {
+                    entropy: i as f64 / 20.0,
+                    agrees: true,
+                }]
             })
-            .collect()
-    }
-
-    /// Load records into a `num_ramps`-wide columnar window (capacity =
-    /// record count).
-    fn window_of(records: &[RequestFeedback], num_ramps: usize) -> crate::monitor::TuningWindow {
-        let mut w = crate::monitor::TuningWindow::new(num_ramps, records.len().max(1));
-        for r in records {
-            w.push(&r.observations, r.exited, r.correct, r.batch_size);
+            .collect();
+        let w = window_of(&rows, 1);
+        let evaluator = ThresholdEvaluator::new(&w, &[1_000.0]);
+        for (step, levels) in [(0.1, 11), (0.3, 5), (0.25, 5)] {
+            let grid = grid_tune(&evaluator, 0.0, step);
+            assert_eq!(grid.evaluations, levels, "step {step}");
+            assert_eq!(grid.thresholds, vec![1.0], "step {step}");
+            assert_eq!(grid.evaluation.exit_rate, 1.0, "step {step}");
         }
-        w
     }
 
-    /// The incremental tuner must reproduce the full-retune oracle *exactly*:
-    /// same thresholds, same (bit-identical) evaluation, same evaluation
-    /// count.
+    #[test]
+    #[should_panic(expected = "positive and finite")]
+    fn grid_rejects_a_non_positive_step() {
+        let w = window(10, 6);
+        grid_tune(&ThresholdEvaluator::new(&w, &SAVINGS), 0.01, 0.0);
+    }
+
+    /// The incremental tuner must reproduce the full-evaluation oracle
+    /// *exactly*: same thresholds, same (bit-identical) evaluation, same
+    /// evaluation count. Release builds compile the tuner's own fence out,
+    /// so the tests assert it explicitly.
     fn assert_matches_oracle(
         tuner: &mut IncrementalTuner,
-        records: &[RequestFeedback],
+        w: &TuningWindow,
         savings: &[f64],
         params: GreedyParams,
     ) {
-        let w = window_of(records, savings.len());
-        let fast = tuner.tune(&w, savings, params);
-        let oracle = greedy_tune(&ThresholdEvaluator::new(records, savings), params);
-        assert_eq!(fast.thresholds, oracle.thresholds);
-        assert_eq!(fast.evaluation, oracle.evaluation);
-        assert_eq!(fast.evaluations, oracle.evaluations);
+        let fast = tuner.tune(w, savings, params);
+        let oracle = greedy_tune(&ThresholdEvaluator::new(w, savings), params);
+        assert_eq!(fast, oracle);
     }
 
     #[test]
@@ -789,6 +835,7 @@ mod tests {
         let mut tuner = IncrementalTuner::new();
         for seed in [1, 2, 3, 4, 5, 7, 11] {
             for n in [1, 17, 200, 500] {
+                let w = window(n, seed);
                 for budget in [0.005, 0.01, 0.05] {
                     for cap in [0.2, 0.35, 1.0] {
                         let params = GreedyParams {
@@ -796,8 +843,7 @@ mod tests {
                             max_threshold: cap,
                             ..Default::default()
                         };
-                        let records = window(n, seed);
-                        assert_matches_oracle(&mut tuner, &records, &SAVINGS, params);
+                        assert_matches_oracle(&mut tuner, &w, &SAVINGS, params);
                     }
                 }
             }
@@ -809,37 +855,31 @@ mod tests {
         let savings = [20_000.0, 14_000.0, 9_000.0, 5_000.0, 2_000.0];
         let mut tuner = IncrementalTuner::new();
         for seed in [3, 8, 21] {
-            let records = window_k(400, seed, savings.len());
-            assert_matches_oracle(&mut tuner, &records, &savings, GreedyParams::default());
+            let w = window_of(&observations_k(400, seed, savings.len()), savings.len());
+            assert_matches_oracle(&mut tuner, &w, &savings, GreedyParams::default());
         }
     }
 
     #[test]
     fn incremental_matches_oracle_on_empty_window() {
         let mut tuner = IncrementalTuner::new();
-        assert_matches_oracle(&mut tuner, &[], &SAVINGS, GreedyParams::default());
+        assert_matches_oracle(&mut tuner, &window(0, 0), &SAVINGS, GreedyParams::default());
     }
 
     #[test]
     fn incremental_tuner_caches_unchanged_windows() {
-        let records = window(300, 9);
-        let w = window_of(&records, SAVINGS.len());
+        let w = window(300, 9);
         let mut tuner = IncrementalTuner::new();
         let first = tuner.tune(&w, &SAVINGS, GreedyParams::default());
         let again = tuner.tune(&w, &SAVINGS, GreedyParams::default());
-        assert_eq!(first.thresholds, again.thresholds);
-        assert_eq!(first.evaluation, again.evaluation);
-        assert_eq!(first.evaluations, again.evaluations);
+        assert_eq!(first, again);
         // Changing the parameters must bypass the cache and still match the
         // oracle.
         let tight = GreedyParams {
             accuracy_loss_budget: 0.002,
             ..Default::default()
         };
-        let fast = tuner.tune(&w, &SAVINGS, tight);
-        let oracle = greedy_tune(&ThresholdEvaluator::new(&records, &SAVINGS), tight);
-        assert_eq!(fast.thresholds, oracle.thresholds);
-        assert_eq!(fast.evaluation, oracle.evaluation);
+        assert_matches_oracle(&mut tuner, &w, &SAVINGS, tight);
     }
 
     #[test]
@@ -847,23 +887,44 @@ mod tests {
         // One tuner, one ring: keep pushing past capacity and re-tune after
         // each eviction burst — every tune must match a fresh oracle over the
         // ring's current contents.
-        let stream = window(600, 13);
-        let mut w = crate::monitor::TuningWindow::new(2, 128);
+        let mut w = TuningWindow::new(2, 128);
         let mut tuner = IncrementalTuner::new();
-        for (i, r) in stream.iter().enumerate() {
-            w.push(&r.observations, r.exited, r.correct, r.batch_size);
+        for (i, row) in observations(600, 13).iter().enumerate() {
+            w.push(row);
             if i % 150 == 149 {
-                let fast = tuner.tune(&w, &SAVINGS, GreedyParams::default());
-                let records = w.records();
-                let oracle = greedy_tune(
-                    &ThresholdEvaluator::new(&records, &SAVINGS),
-                    Default::default(),
-                );
-                assert_eq!(fast.thresholds, oracle.thresholds);
-                assert_eq!(fast.evaluation, oracle.evaluation);
-                assert_eq!(fast.evaluations, oracle.evaluations);
+                assert_matches_oracle(&mut tuner, &w, &SAVINGS, GreedyParams::default());
             }
         }
+    }
+
+    #[test]
+    fn wrapped_ring_evaluates_like_a_fresh_window() {
+        // Once the ring wraps, slot order is no longer arrival order. The
+        // evaluator must not care: a ring that has evicted requests scores
+        // every configuration exactly as a fresh window holding only the
+        // surviving requests, in arrival order.
+        let rows = observations(600, 17);
+        let mut ring = TuningWindow::new(2, 128);
+        for row in &rows {
+            ring.push(row);
+        }
+        let fresh = window_of(&rows[rows.len() - 128..], 2);
+        let on_ring = ThresholdEvaluator::new(&ring, &SAVINGS);
+        let on_fresh = ThresholdEvaluator::new(&fresh, &SAVINGS);
+        for a in [0.0, 0.05, 0.2, 0.45, 0.8, 1.0] {
+            for b in [0.0, 0.1, 0.3, 0.6, 1.0] {
+                assert_eq!(on_ring.evaluate(&[a, b]), on_fresh.evaluate(&[a, b]));
+            }
+        }
+        let params = GreedyParams::default();
+        assert_eq!(
+            greedy_tune(&on_ring, params),
+            greedy_tune(&on_fresh, params)
+        );
+        assert_eq!(
+            IncrementalTuner::new().tune(&ring, &SAVINGS, params),
+            greedy_tune(&on_fresh, params)
+        );
     }
 
     #[test]
@@ -871,19 +932,23 @@ mod tests {
         // Re-using one tuner across windows of different widths (a ramp-set
         // change clears the window) must not leave stale columns behind.
         let mut tuner = IncrementalTuner::new();
-        let wide = window_k(200, 5, 4);
         let savings4 = [12_000.0, 8_000.0, 5_000.0, 2_500.0];
+        let wide = window_of(&observations_k(200, 5, 4), 4);
         assert_matches_oracle(&mut tuner, &wide, &savings4, GreedyParams::default());
-        let narrow = window(200, 5);
-        assert_matches_oracle(&mut tuner, &narrow, &SAVINGS, GreedyParams::default());
+        assert_matches_oracle(
+            &mut tuner,
+            &window(200, 5),
+            &SAVINGS,
+            GreedyParams::default(),
+        );
     }
 
     #[test]
     fn greedy_prefers_the_more_valuable_ramp() {
         // Savings strongly favour ramp 0; with both ramps equally accurate the
         // search should raise ramp 0's threshold at least as far as ramp 1's.
-        let records = window(400, 7);
-        let evaluator = ThresholdEvaluator::new(&records, &SAVINGS);
+        let w = window(400, 7);
+        let evaluator = ThresholdEvaluator::new(&w, &SAVINGS);
         let outcome = greedy_tune(
             &evaluator,
             GreedyParams {

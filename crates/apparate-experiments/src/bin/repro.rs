@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! repro [--seed N] [--quick] [--scenario cv|nlp|generative|all] [--sweep]
-//!       [--threads N] [--full-retune]
+//!       [--threads N]
 //!       [--trace-out PATH] [--metrics-out PATH] [--chrome-out PATH]
 //! ```
 //!
@@ -35,18 +35,12 @@
 //! them the sink is the zero-cost no-op and the tables are byte-identical to
 //! an untraced build. An unwritable path is a hard error (exit 1) — partial
 //! observability must not look like success.
-//!
-//! `--full-retune` runs every controller tuning round through the full greedy
-//! re-tune (the incremental tuner's correctness oracle) instead of the
-//! incremental delta tuner. The two are exactly equivalent, so the tables must
-//! be byte-identical with and without the flag — CI's `tuning-equivalence`
-//! step diffs them. Scenario mode only (`--sweep` pins its own config).
 
 use apparate_experiments::{
     render_admission_summary, render_fleet_summary, run_admission_fleet,
     run_classification_fleet_threaded, run_classification_fleet_traced,
-    run_generative_fleet_threaded, run_scenarios_traced_config, scenario_config,
-    sensitivity_sweeps, OverheadTable, ReproSizes, ScenarioSelect, SensitivityGrid,
+    run_generative_fleet_threaded, run_scenarios_traced, scenario_config, sensitivity_sweeps,
+    OverheadTable, ReproSizes, ScenarioSelect, SensitivityGrid,
 };
 use apparate_serving::{available_threads, FleetDispatch};
 use apparate_telemetry::{
@@ -57,8 +51,7 @@ use apparate_telemetry::{
 /// One-line usage synopsis, printed by `--help` and after every argument
 /// error (exit code 2).
 const USAGE: &str = "usage: repro [--seed N] [--quick] [--scenario cv|nlp|generative|all] \
-     [--sweep] [--threads N] [--full-retune] [--trace-out PATH] [--metrics-out PATH] \
-     [--chrome-out PATH]";
+     [--sweep] [--threads N] [--trace-out PATH] [--metrics-out PATH] [--chrome-out PATH]";
 
 #[derive(Debug, PartialEq)]
 struct Args {
@@ -67,7 +60,6 @@ struct Args {
     scenario: Option<ScenarioSelect>,
     sweep: bool,
     threads: Option<usize>,
-    full_retune: bool,
     trace_out: Option<String>,
     metrics_out: Option<String>,
     chrome_out: Option<String>,
@@ -96,7 +88,6 @@ fn parse_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
         scenario: None,
         sweep: false,
         threads: None,
-        full_retune: false,
         trace_out: None,
         metrics_out: None,
         chrome_out: None,
@@ -112,7 +103,6 @@ fn parse_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
             }
             "--quick" => args.quick = true,
             "--sweep" => args.sweep = true,
-            "--full-retune" => args.full_retune = true,
             "--threads" => {
                 let value = it.next().ok_or("--threads requires a value")?;
                 let threads: usize = value
@@ -147,13 +137,6 @@ fn parse_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
         return Err(
             "--sweep runs its own scenario grid (CV + generative fleets, CV/NLP sensitivity) \
              and cannot be combined with --scenario"
-                .to_string(),
-        );
-    }
-    if args.sweep && args.full_retune {
-        return Err(
-            "--full-retune selects the tuning oracle for the scenario tables and cannot be \
-             combined with --sweep (the sweep grid pins its own controller configuration)"
                 .to_string(),
         );
     }
@@ -253,12 +236,11 @@ fn main() {
         if args.quick { "quick" } else { "full" }
     ));
 
-    let runs = run_scenarios_traced_config(
+    let runs = run_scenarios_traced(
         args.seed,
         sizes,
         args.scenario.unwrap_or(ScenarioSelect::All),
         &telemetry,
-        scenario_config().with_full_retune(args.full_retune),
     );
     let mut overhead_rows = Vec::new();
     for run in runs {
@@ -420,23 +402,6 @@ mod tests {
         );
         // Order must not matter.
         assert!(parse(&["--scenario", "cv", "--sweep"]).is_err());
-    }
-
-    #[test]
-    fn full_retune_parses_and_conflicts_with_sweep() {
-        let args = parse(&[]).expect("defaults");
-        assert!(!args.full_retune, "incremental tuning is the default");
-        let args = parse(&["--quick", "--full-retune"]).expect("valid argv");
-        assert!(args.full_retune);
-        // Composes with an explicit scenario selection.
-        assert!(parse(&["--full-retune", "--scenario", "cv"]).is_ok());
-        // The sweep grid pins its own controller configuration.
-        let error = parse(&["--sweep", "--full-retune"]).expect_err("conflicting argv");
-        assert!(
-            error.contains("--full-retune") && error.contains("--sweep"),
-            "error must name the conflicting flags: {error}"
-        );
-        assert!(parse(&["--full-retune", "--sweep"]).is_err());
     }
 
     #[test]

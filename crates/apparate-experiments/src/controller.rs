@@ -30,8 +30,8 @@ use apparate_baselines::{
     exit_outcome, offline_tuned_thresholds, per_ramp_savings_us, RampDeployment,
 };
 use apparate_core::{
-    adjust_ramps, greedy_tune, ramp_utilities, AdjustInput, ApparateConfig, GreedyParams,
-    IncrementalTuner, Monitor, ThresholdEvaluator, TrainedRamp,
+    adjust_ramps, ramp_utilities, AdjustInput, ApparateConfig, GreedyParams, IncrementalTuner,
+    Monitor, TrainedRamp,
 };
 use apparate_exec::{
     feedback_link, ExecutionPlan, FeedbackReceiver, FeedbackSender, LinkCost, OverheadReport,
@@ -188,8 +188,7 @@ struct ControllerHalf {
     records_since_tune: usize,
     /// The incremental Algorithm 1 implementation (delta evaluation over the
     /// monitor's columnar window). Produces the exact configurations the
-    /// full greedy re-tune would; `config.full_retune` switches tuning back
-    /// to the materialising oracle path.
+    /// full greedy re-tune would.
     tuner: IncrementalTuner,
     /// Epoch of the last issued update; every publish bumps it.
     config_epoch: u64,
@@ -317,16 +316,9 @@ impl ControllerHalf {
             return;
         }
         let savings = per_ramp_savings_us(&self.plan, self.reference_batch);
-        let outcome = if self.config.full_retune {
-            // The materialising oracle: rebuild per-request records and run
-            // the reference greedy search over them.
-            let records = self.monitor.tuning_records();
-            let evaluator = ThresholdEvaluator::new(&records, &savings);
-            greedy_tune(&evaluator, self.tuning_params())
-        } else {
-            self.tuner
-                .tune(self.monitor.window(), &savings, self.tuning_params())
-        };
+        let outcome = self
+            .tuner
+            .tune(self.monitor.window(), &savings, self.tuning_params());
         let thresholds_changed = self.thresholds != outcome.thresholds;
         self.thresholds = outcome.thresholds;
         self.needs_tune = false;

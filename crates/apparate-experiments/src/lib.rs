@@ -45,9 +45,8 @@ pub use scenario::{
     cv_scenario, diurnal_scenario, generative_calibration, generative_requests,
     generative_scenario, nlp_scenario, run_classification, run_classification_duel,
     run_classification_full, run_classification_overhead, run_classification_traced,
-    run_classification_traced_config, run_generative, run_generative_full, run_generative_overhead,
-    run_generative_traced, run_generative_traced_config, run_overhead, run_scenarios,
-    run_scenarios_full, run_scenarios_traced, run_scenarios_traced_config, scenario_config,
+    run_generative, run_generative_full, run_generative_overhead, run_generative_traced,
+    run_overhead, run_scenarios, run_scenarios_full, run_scenarios_traced, scenario_config,
     ClassificationScenario, DuelRun, GenerativeScenario, ReproSizes, ScenarioCdfs, ScenarioRun,
     ScenarioSelect, SensitivityGrid, TraceKind, WorkloadTokens, STATIC_THRESHOLD,
 };

@@ -170,19 +170,6 @@ pub fn run_scenarios_traced(
     select: ScenarioSelect,
     telemetry: &Telemetry,
 ) -> Vec<ScenarioRun> {
-    run_scenarios_traced_config(seed, sizes, select, telemetry, scenario_config())
-}
-
-/// Like [`run_scenarios_traced`] with an explicit controller configuration —
-/// the hook `repro --full-retune` uses to run every scenario with the
-/// full-retune tuning oracle instead of the incremental tuner.
-pub fn run_scenarios_traced_config(
-    seed: u64,
-    sizes: ReproSizes,
-    select: ScenarioSelect,
-    telemetry: &Telemetry,
-    config: ApparateConfig,
-) -> Vec<ScenarioRun> {
     let mut runs = Vec::new();
     let mut lane = 0u32;
     // Scenario lanes are derived handles over the same session: lane `i`
@@ -195,26 +182,23 @@ pub fn run_scenarios_traced_config(
     };
     if matches!(select, ScenarioSelect::Cv | ScenarioSelect::All) {
         let lane = next_lane();
-        runs.push(run_classification_traced_config(
+        runs.push(run_classification_traced(
             &cv_scenario(seed, sizes.cv_frames),
             &lane,
-            config,
         ));
     }
     if matches!(select, ScenarioSelect::Nlp | ScenarioSelect::All) {
         let lane = next_lane();
-        runs.push(run_classification_traced_config(
+        runs.push(run_classification_traced(
             &nlp_scenario(seed, sizes.nlp_requests),
             &lane,
-            config,
         ));
     }
     if matches!(select, ScenarioSelect::Generative | ScenarioSelect::All) {
         let lane = next_lane();
-        runs.push(run_generative_traced_config(
+        runs.push(run_generative_traced(
             &generative_scenario(seed, sizes.gen_requests),
             &lane,
-            config,
         ));
     }
     runs
@@ -518,16 +502,7 @@ pub fn run_classification_traced(
     scenario: &ClassificationScenario,
     telemetry: &Telemetry,
 ) -> ScenarioRun {
-    run_classification_traced_config(scenario, telemetry, scenario_config())
-}
-
-/// Like [`run_classification_traced`] with an explicit controller
-/// configuration (see [`run_scenarios_traced_config`]).
-pub fn run_classification_traced_config(
-    scenario: &ClassificationScenario,
-    telemetry: &Telemetry,
-    config: ApparateConfig,
-) -> ScenarioRun {
+    let config = scenario_config();
     let split = scenario.workload.bootstrap_split();
     let serving_samples = split.serving;
     let n = serving_samples.len();
@@ -827,16 +802,7 @@ pub fn run_generative_full(scenario: &GenerativeScenario) -> ScenarioRun {
 /// Apparate run (decode-step events, controller events and both link
 /// directions). Baseline runs stay untraced.
 pub fn run_generative_traced(scenario: &GenerativeScenario, telemetry: &Telemetry) -> ScenarioRun {
-    run_generative_traced_config(scenario, telemetry, scenario_config())
-}
-
-/// Like [`run_generative_traced`] with an explicit controller configuration
-/// (see [`run_scenarios_traced_config`]).
-pub fn run_generative_traced_config(
-    scenario: &GenerativeScenario,
-    telemetry: &Telemetry,
-    config: ApparateConfig,
-) -> ScenarioRun {
+    let config = scenario_config();
     let requests = generative_requests(scenario);
     let tokens = WorkloadTokens(&scenario.workload);
     let sim = GenerativeSimulator::new(scenario.batching);

@@ -26,8 +26,7 @@ use apparate_baselines::{
 };
 use apparate_core::{
     adjust_ramps, feasible_sites, grid_tune, ramp_utilities, AdjustInput, ApparateConfig,
-    GreedyParams, IncrementalTuner, RampArchitecture, RequestFeedback, ThresholdEvaluator,
-    TuningWindow,
+    GreedyParams, IncrementalTuner, RampArchitecture, ThresholdEvaluator, TuningWindow,
 };
 use apparate_exec::{SampleSemantics, SemanticsModel};
 use apparate_experiments::{
@@ -159,24 +158,19 @@ fn greedy_params(accuracy_loss_budget: f64) -> GreedyParams {
     }
 }
 
-/// Build the tuner's observation window from calibration samples, exactly the
-/// way `offline_tuned_thresholds` does.
-fn feedback_window(
+/// Build a tuning window over the first `num_ramps` ramps from calibration
+/// samples, the way `offline_tuned_thresholds` does.
+fn calibration_window(
     plan: &apparate_exec::ExecutionPlan,
     samples: &[SampleSemantics],
-    batch_size: u32,
-) -> Vec<RequestFeedback> {
-    samples
-        .iter()
-        .map(|sample| RequestFeedback {
-            observations: (0..plan.num_ramps())
-                .map(|i| plan.observe(sample, i))
-                .collect(),
-            exited: None,
-            correct: true,
-            batch_size,
-        })
-        .collect()
+    num_ramps: usize,
+) -> TuningWindow {
+    let mut window = TuningWindow::new(num_ramps, samples.len().max(1));
+    for sample in samples {
+        let observations: Vec<_> = (0..num_ramps).map(|i| plan.observe(sample, i)).collect();
+        window.push(&observations);
+    }
+    window
 }
 
 // ---------------------------------------------------------------------------
@@ -189,33 +183,18 @@ fn tuning(ctx: &BenchContext) -> Vec<BenchReport> {
     let plan = &fx.deployment.plan;
     let split = fx.workload.bootstrap_split();
     let reference_batch = 4u32;
-    let records = feedback_window(plan, split.validation, reference_batch);
     let savings = per_ramp_savings_us(plan, reference_batch);
+
+    // The controller's live tuning path: the incremental Algorithm 1 over
+    // the columnar window. A fresh tuner per iteration keeps the measurement
+    // cold (no cross-tune outcome/column cache) — this is the cost of the
+    // first tune after a window change, the worst case.
+    let window = calibration_window(plan, split.validation, plan.num_ramps());
 
     // Grid search is O(levels^ramps), so the Figure 10 comparison point is
     // measured on the first two ramps only.
-    let grid_records: Vec<RequestFeedback> = records
-        .iter()
-        .map(|r| RequestFeedback {
-            observations: r.observations.iter().take(2).cloned().collect(),
-            exited: r.exited,
-            correct: r.correct,
-            batch_size: r.batch_size,
-        })
-        .collect();
+    let grid_window = calibration_window(plan, split.validation, 2.min(plan.num_ramps()));
     let grid_savings: Vec<f64> = savings.iter().take(2).copied().collect();
-
-    // The controller's live tuning path: the incremental Algorithm 1 over
-    // the monitor's columnar window. A fresh tuner per iteration keeps the
-    // measurement cold (no cross-tune outcome/column cache) — this is the
-    // cost of the first tune after a window change, the worst case.
-    let window = {
-        let mut w = TuningWindow::new(plan.num_ramps(), records.len().max(1));
-        for r in &records {
-            w.push(&r.observations, r.exited, r.correct, r.batch_size);
-        }
-        w
-    };
 
     vec![
         ctx.bench(SUITE, "greedy_tune/validation-window", || {
@@ -223,7 +202,7 @@ fn tuning(ctx: &BenchContext) -> Vec<BenchReport> {
             tuner.tune(&window, &savings, greedy_params(0.01))
         }),
         ctx.bench(SUITE, "grid_tune/2-ramps-step-0.25", || {
-            let evaluator = ThresholdEvaluator::new(&grid_records, &grid_savings);
+            let evaluator = ThresholdEvaluator::new(&grid_window, &grid_savings);
             grid_tune(&evaluator, 0.01, 0.25)
         }),
         ctx.bench(SUITE, "offline_tuned_thresholds/bootstrap", || {
