@@ -1,7 +1,7 @@
 //! Classification-serving baselines: the [`ExitPolicy`] family.
 
 use apparate_core::{GreedyParams, IncrementalTuner, TuningOutcome, TuningWindow};
-use apparate_exec::{BatchExecution, ExecutionPlan, RequestObservations, SampleSemantics};
+use apparate_exec::{ExecutionPlan, RampObservation, SampleSemantics};
 use apparate_model::LayerId;
 use apparate_serving::{BatchOutcome, ExitPolicy, Request, RequestOutcome, VanillaPolicy};
 use apparate_sim::{SimDuration, SimTime};
@@ -28,24 +28,24 @@ pub fn vanilla_policy(plan: &ExecutionPlan) -> VanillaPolicy<impl Fn(u32) -> Sim
     VanillaPolicy::new(|batch| SimDuration::from_micros_f64(plan.vanilla_total_us(batch)))
 }
 
-/// The universal result-release rule shared by every threshold-based policy
-/// (static baselines and Apparate alike): the request's *result* is released
-/// at the earliest ramp whose entropy clears its threshold, while the *input*
-/// continues to the model head (which is what keeps accuracy feedback free and
-/// batchmates unaffected, §3.2).
+/// The result-release outcome shared by every threshold-based policy (static
+/// baselines and Apparate alike): the request's *result* is released at its
+/// exit ramp — the earliest ramp whose entropy clears its threshold, from
+/// [`ExecutionPlan::first_exit`] or [`apparate_exec::earliest_exit`] — while
+/// the *input* continues to the model head (which is what keeps accuracy
+/// feedback free and batchmates unaffected, §3.2).
 pub fn exit_outcome(
     plan: &ExecutionPlan,
-    observations: &RequestObservations,
-    thresholds: &[f64],
+    exit: Option<(usize, RampObservation)>,
     batch: u32,
 ) -> RequestOutcome {
     let final_off = SimDuration::from_micros_f64(plan.final_offset_us(batch));
-    match BatchExecution::earliest_exit(observations, thresholds) {
-        Some(ramp) => RequestOutcome {
+    match exit {
+        Some((ramp, observation)) => RequestOutcome {
             release_offset: SimDuration::from_micros_f64(plan.ramp_offset_us(ramp, batch)),
             completion_offset: final_off,
             exit_ramp: Some(ramp),
-            correct: observations.ramp_observations[ramp].agrees,
+            correct: observation.agrees,
         },
         None => RequestOutcome {
             release_offset: final_off,
@@ -110,16 +110,18 @@ impl StaticExitPolicy {
 }
 
 impl ExitPolicy for StaticExitPolicy {
+    /// Static policies publish no profile, so each request observes its ramps
+    /// only up to its first exit.
     fn process_batch(&mut self, batch: &[Request], _batch_start: SimTime) -> BatchOutcome {
-        let samples: Vec<SampleSemantics> = batch.iter().map(|r| r.semantics).collect();
-        let exec = self.plan.execute_batch(&samples);
         let b = batch.len() as u32;
         BatchOutcome {
             gpu_time: SimDuration::from_micros_f64(self.plan.gpu_batch_time_us(b)),
-            per_request: exec
-                .per_request
+            per_request: batch
                 .iter()
-                .map(|obs| exit_outcome(&self.plan, obs, &self.thresholds, b))
+                .map(|r| {
+                    let exit = self.plan.first_exit(&r.semantics, &self.thresholds);
+                    exit_outcome(&self.plan, exit, b)
+                })
                 .collect(),
             profile: None,
         }

@@ -5,17 +5,27 @@
 //!
 //! * **Timing** — how long does a batch take on the GPU, and at what offset
 //!   within that batch does the computation reach each ramp / the model head?
-//!   (Derived from the calibrated per-layer latency model plus per-ramp costs.)
+//!   (Derived from the calibrated per-layer latency model plus per-ramp costs,
+//!   summed once per batch size and memoised inside the plan.)
 //! * **Observations** — what does each ramp report for each request?
 //!   (Delegated to the [`SemanticsModel`].)
 //!
-//! Exiting *decisions* (thresholds, which ramps are active, whether inputs
-//! truly exit or only results do) belong to the policy layers: Apparate's
-//! controller in `apparate-core` and the baselines in `apparate-baselines`.
+//! The engine also owns the one release rule every threshold policy applies
+//! to those observations ([`earliest_exit`] over a full row,
+//! [`ExecutionPlan::first_exit`] lazily). Exiting *decisions* (thresholds,
+//! which ramps are active, whether inputs truly exit or only results do)
+//! belong to the policy layers: Apparate's controller in `apparate-core` and
+//! the baselines in `apparate-baselines`.
 
 use crate::semantics::{RampObservation, SampleSemantics, SemanticsModel};
 use apparate_model::{LayerId, LayerLatency, ZooModel};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
+
+/// Largest batch size whose timing table a plan memoises. Covers every
+/// configured batching and continuous-batching cap; larger batches are timed
+/// through the same code without a memo.
+const MEMO_BATCHES: usize = 16;
 
 /// A ramp as seen by the execution engine: where it sits, what it costs, and
 /// how capable it is.
@@ -30,7 +40,7 @@ pub struct RampPlacement {
 }
 
 /// Execution plan: a model plus an ordered set of ramps, with cached
-/// topological positions for fast prefix-latency queries.
+/// topological positions and a per-batch-size timing memo.
 #[derive(Debug, Clone)]
 pub struct ExecutionPlan {
     model: ZooModel,
@@ -38,6 +48,34 @@ pub struct ExecutionPlan {
     ramps: Vec<RampPlacement>,
     /// Topological position of each ramp's site (parallel to `ramps`).
     ramp_positions: Vec<usize>,
+    /// `timing[b - 1]`: the timing table of batch size `b`, built on first use.
+    timing: [OnceLock<Timing>; MEMO_BATCHES],
+}
+
+/// Every timing value of a plan at one batch size.
+///
+/// Built with running sums in the order the per-layer reference sums use, so
+/// each entry is bit-identical to summing the layers (and ramp costs) again.
+#[derive(Debug, Clone)]
+struct Timing {
+    /// `layer_prefix[pos]`: model latency up to and including topological
+    /// position `pos`.
+    layer_prefix: Vec<f64>,
+    /// `ramp_offset[i]`: offset at which ramp `i`'s result is available.
+    ramp_offset: Vec<f64>,
+    /// Latency of the original model.
+    vanilla_total: f64,
+    /// Sum of every active ramp's cost.
+    ramp_overhead: f64,
+}
+
+/// One timing value a plan answers, read from a [`Timing`] table.
+#[derive(Debug, Clone, Copy)]
+enum TimingQuery {
+    VanillaTotal,
+    RampOverhead,
+    RampOffset(usize),
+    LayerPrefix(usize),
 }
 
 impl ExecutionPlan {
@@ -62,6 +100,7 @@ impl ExecutionPlan {
             semantics,
             ramps,
             ramp_positions,
+            timing: std::array::from_fn(|_| OnceLock::new()),
         }
     }
 
@@ -111,7 +150,7 @@ impl ExecutionPlan {
 
     /// Latency of the *original* model (no ramps) for a batch, in µs.
     pub fn vanilla_total_us(&self, batch: u32) -> f64 {
-        self.model.latency.total_us(batch)
+        self.timed(batch, TimingQuery::VanillaTotal)
     }
 
     /// Total GPU time of a batch when every input runs to the end of the model
@@ -122,22 +161,14 @@ impl ExecutionPlan {
 
     /// Sum of all active ramps' costs for a batch, in µs.
     pub fn total_ramp_overhead_us(&self, batch: u32) -> f64 {
-        self.ramps.iter().map(|r| r.cost.latency_us(batch)).sum()
+        self.timed(batch, TimingQuery::RampOverhead)
     }
 
     /// Offset (from batch start) at which ramp `ramp_idx`'s result is
     /// available: model prefix up to the ramp's site plus the cost of this and
     /// all earlier ramps, in µs.
     pub fn ramp_offset_us(&self, ramp_idx: usize, batch: u32) -> f64 {
-        let prefix = self
-            .model
-            .latency
-            .prefix_us(self.ramp_positions[ramp_idx], batch);
-        let ramp_costs: f64 = self.ramps[..=ramp_idx]
-            .iter()
-            .map(|r| r.cost.latency_us(batch))
-            .sum();
-        prefix + ramp_costs
+        self.timed(batch, TimingQuery::RampOffset(ramp_idx))
     }
 
     /// Offset at which the original model's final result is available when all
@@ -149,9 +180,64 @@ impl ExecutionPlan {
     /// Offset of the model prefix up to an arbitrary site with no ramp costs;
     /// used for optimal-exiting oracles which assume zero ramp overhead (§2.2).
     pub fn site_prefix_us(&self, site: LayerId, batch: u32) -> f64 {
-        self.model
+        let pos = self.model.graph.topo_position(site);
+        self.timed(batch, TimingQuery::LayerPrefix(pos))
+    }
+
+    /// Answer a timing query from the batch size's memoised table (or a
+    /// fresh one past [`MEMO_BATCHES`]). Debug builds re-derive every answer
+    /// from the per-layer reference sums and panic on any bit difference.
+    fn timed(&self, batch: u32, query: TimingQuery) -> f64 {
+        let read = |t: &Timing| match query {
+            TimingQuery::VanillaTotal => t.vanilla_total,
+            TimingQuery::RampOverhead => t.ramp_overhead,
+            TimingQuery::RampOffset(i) => t.ramp_offset[i],
+            TimingQuery::LayerPrefix(pos) => t.layer_prefix[pos],
+        };
+        let us = match self.timing.get((batch as usize).wrapping_sub(1)) {
+            Some(memo) => read(memo.get_or_init(|| self.timing_table(batch))),
+            None => read(&self.timing_table(batch)),
+        };
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            us.to_bits(),
+            reference::timed(self, batch, query).to_bits(),
+            "memoised {query:?} at batch {batch} diverged from the per-layer sum"
+        );
+        us
+    }
+
+    /// Build the timing table of one batch size: one pass over the layers and
+    /// one over the ramps. Running sums start from `-0.0`, the value an empty
+    /// `f64` sum takes, so even an empty ramp set matches the reference bits.
+    fn timing_table(&self, batch: u32) -> Timing {
+        let mut layers = -0.0;
+        let layer_prefix: Vec<f64> = self
+            .model
             .latency
-            .prefix_us(self.model.graph.topo_position(site), batch)
+            .per_layer()
+            .iter()
+            .map(|l| {
+                layers += l.latency_us(batch);
+                layers
+            })
+            .collect();
+        let mut ramps = -0.0;
+        let ramp_offset = self
+            .ramps
+            .iter()
+            .zip(&self.ramp_positions)
+            .map(|(r, &pos)| {
+                ramps += r.cost.latency_us(batch);
+                layer_prefix[pos] + ramps
+            })
+            .collect();
+        Timing {
+            layer_prefix,
+            ramp_offset,
+            vanilla_total: layers,
+            ramp_overhead: ramps,
+        }
     }
 
     /// Observation of ramp `ramp_idx` for one request.
@@ -181,20 +267,25 @@ impl ExecutionPlan {
         )
     }
 
-    /// Execute a batch: produce, for every request, the observation at every
-    /// active ramp. Timing is queried separately because it is identical for
-    /// all requests in the batch.
-    pub fn execute_batch(&self, samples: &[SampleSemantics]) -> BatchExecution {
-        let per_request = samples
-            .iter()
-            .map(|s| RequestObservations {
-                ramp_observations: (0..self.ramps.len()).map(|i| self.observe(s, i)).collect(),
-            })
-            .collect();
-        BatchExecution {
-            batch_size: samples.len() as u32,
-            per_request,
+    /// The earliest exit for one request, observing ramps lazily: in ramp
+    /// order, skipping ramps whose threshold disables exiting, and stopping at
+    /// the first exit. Equals [`earliest_exit`] over the request's full
+    /// observation row, for policies that never read the rest of the row.
+    pub fn first_exit(
+        &self,
+        sample: &SampleSemantics,
+        thresholds: &[f64],
+    ) -> Option<(usize, RampObservation)> {
+        for (i, &thr) in thresholds.iter().enumerate().take(self.ramps.len()) {
+            // A non-positive threshold never releases: skip the observation.
+            if thr > 0.0 {
+                let obs = self.observe(sample, i);
+                if releases_at(&obs, thr) {
+                    return Some((i, obs));
+                }
+            }
         }
+        None
     }
 
     /// Replace the ramp set, keeping model and semantics (used when the
@@ -204,34 +295,48 @@ impl ExecutionPlan {
     }
 }
 
-/// Per-request observations produced by executing one batch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RequestObservations {
-    /// One observation per active ramp, in ramp order.
-    pub ramp_observations: Vec<RampObservation>,
+/// The universal release rule shared by Apparate and the static baselines: a
+/// result is released at a ramp whose threshold is positive and whose entropy
+/// is at or below it. A threshold of 0 therefore disables the ramp.
+fn releases_at(observation: &RampObservation, threshold: f64) -> bool {
+    threshold > 0.0 && observation.entropy <= threshold
 }
 
-/// Result of executing one batch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BatchExecution {
-    /// Number of requests in the batch.
-    pub batch_size: u32,
-    /// Observations per request, in submission order.
-    pub per_request: Vec<RequestObservations>,
+/// Earliest ramp of a request's full observation row (one entry per active
+/// ramp, in ramp order) whose observation clears its threshold, with that
+/// observation. `None` means no exit.
+pub fn earliest_exit(
+    row: &[RampObservation],
+    thresholds: &[f64],
+) -> Option<(usize, RampObservation)> {
+    row.iter()
+        .zip(thresholds)
+        .position(|(obs, &thr)| releases_at(obs, thr))
+        .map(|i| (i, row[i]))
 }
 
-impl BatchExecution {
-    /// Earliest ramp index whose entropy is at or below its threshold, for a
-    /// single request, given per-ramp thresholds. `None` means no exit.
-    ///
-    /// This helper implements the universal exit rule shared by Apparate and
-    /// the static-EE baselines.
-    pub fn earliest_exit(observations: &RequestObservations, thresholds: &[f64]) -> Option<usize> {
-        observations
-            .ramp_observations
+/// The per-layer sums the memoised timing tables must reproduce bit for bit.
+#[cfg(any(test, debug_assertions))]
+mod reference {
+    use super::{ExecutionPlan, TimingQuery};
+
+    fn ramp_costs(plan: &ExecutionPlan, through: usize, batch: u32) -> f64 {
+        plan.ramps[..through]
             .iter()
-            .zip(thresholds.iter())
-            .position(|(obs, &thr)| thr > 0.0 && obs.entropy <= thr)
+            .map(|r| r.cost.latency_us(batch))
+            .sum()
+    }
+
+    pub(super) fn timed(plan: &ExecutionPlan, batch: u32, query: TimingQuery) -> f64 {
+        let latency = &plan.model.latency;
+        match query {
+            TimingQuery::VanillaTotal => latency.total_us(batch),
+            TimingQuery::RampOverhead => ramp_costs(plan, plan.ramps.len(), batch),
+            TimingQuery::RampOffset(i) => {
+                latency.prefix_us(plan.ramp_positions[i], batch) + ramp_costs(plan, i + 1, batch)
+            }
+            TimingQuery::LayerPrefix(pos) => latency.prefix_us(pos, batch),
+        }
     }
 }
 
@@ -305,48 +410,27 @@ mod tests {
     }
 
     #[test]
-    fn execute_batch_gives_observation_per_ramp_per_request() {
-        let plan = plan_with_ramps(3);
-        let samples: Vec<SampleSemantics> = (0..16).map(|i| SampleSemantics::new(i, 0.3)).collect();
-        let exec = plan.execute_batch(&samples);
-        assert_eq!(exec.batch_size, 16);
-        assert_eq!(exec.per_request.len(), 16);
-        for r in &exec.per_request {
-            assert_eq!(r.ramp_observations.len(), 3);
-        }
-    }
-
-    #[test]
     fn earliest_exit_respects_thresholds() {
-        let obs = RequestObservations {
-            ramp_observations: vec![
-                RampObservation {
-                    entropy: 0.8,
-                    agrees: false,
-                },
-                RampObservation {
-                    entropy: 0.3,
-                    agrees: true,
-                },
-                RampObservation {
-                    entropy: 0.1,
-                    agrees: true,
-                },
-            ],
-        };
-        assert_eq!(BatchExecution::earliest_exit(&obs, &[0.0, 0.0, 0.0]), None);
-        assert_eq!(
-            BatchExecution::earliest_exit(&obs, &[0.0, 0.4, 0.0]),
-            Some(1)
-        );
-        assert_eq!(
-            BatchExecution::earliest_exit(&obs, &[0.9, 0.4, 0.2]),
-            Some(0)
-        );
-        assert_eq!(
-            BatchExecution::earliest_exit(&obs, &[0.5, 0.0, 0.2]),
-            Some(2)
-        );
+        let row = [
+            RampObservation {
+                entropy: 0.8,
+                agrees: false,
+            },
+            RampObservation {
+                entropy: 0.3,
+                agrees: true,
+            },
+            RampObservation {
+                entropy: 0.1,
+                agrees: true,
+            },
+        ];
+        let exit = |thresholds: &[f64]| earliest_exit(&row, thresholds).map(|(i, _)| i);
+        assert_eq!(exit(&[0.0, 0.0, 0.0]), None);
+        assert_eq!(exit(&[0.0, 0.4, 0.0]), Some(1));
+        assert_eq!(exit(&[0.9, 0.4, 0.2]), Some(0));
+        assert_eq!(exit(&[0.5, 0.0, 0.2]), Some(2));
+        assert_eq!(earliest_exit(&row, &[0.5, 0.0, 0.2]), Some((2, row[2])));
     }
 
     #[test]
@@ -365,16 +449,133 @@ mod tests {
     #[test]
     fn easy_samples_agree_early_on_cv_model() {
         let plan = plan_with_ramps(4);
-        let easy: Vec<SampleSemantics> = (0..200).map(|i| SampleSemantics::new(i, 0.05)).collect();
-        let exec = plan.execute_batch(&easy);
-        let agreements = exec
-            .per_request
-            .iter()
-            .filter(|r| r.ramp_observations[0].agrees)
+        let agreements = (0..200)
+            .filter(|&i| plan.observe(&SampleSemantics::new(i, 0.05), 0).agrees)
             .count();
         assert!(
-            agreements as f64 / easy.len() as f64 > 0.9,
+            agreements as f64 / 200.0 > 0.9,
             "easy inputs should agree at the first ramp of an overparameterised CV model"
         );
+    }
+
+    fn full_row(plan: &ExecutionPlan, sample: &SampleSemantics) -> Vec<RampObservation> {
+        (0..plan.num_ramps())
+            .map(|i| plan.observe(sample, i))
+            .collect()
+    }
+
+    fn every_zoo_model() -> Vec<ZooModel> {
+        let mut models = zoo::classification_models();
+        models.extend(zoo::generative_models());
+        models.extend([zoo::bert_base_int8(), zoo::bert_large_int8()]);
+        models
+    }
+
+    /// No ramps, evenly spaced sites within a 2 % batch-1 ramp budget, and
+    /// a ramp at every feasible site.
+    fn ramp_sets(model: &ZooModel) -> [Vec<RampPlacement>; 3] {
+        let place = |sites: &[LayerId]| {
+            sites
+                .iter()
+                .map(|&site| RampPlacement {
+                    site,
+                    cost: lightweight_cost(),
+                    capacity: 0.95,
+                })
+                .collect::<Vec<_>>()
+        };
+        let sites = model.graph.feasible_ramp_sites(None);
+        let budget = (model.latency.total_us(1) * 0.02 / lightweight_cost().latency_us(1)) as usize;
+        let step = sites.len().div_ceil(budget.clamp(1, sites.len()));
+        let budget_sites: Vec<LayerId> = sites.iter().copied().step_by(step).collect();
+        [Vec::new(), place(&budget_sites), place(&sites)]
+    }
+
+    #[test]
+    fn memoised_timing_equals_the_per_layer_sums_bit_for_bit() {
+        for model in every_zoo_model() {
+            let semantics = SemanticsModel::new(3, model.descriptor.overparameterization);
+            for ramps in ramp_sets(&model) {
+                let plan = ExecutionPlan::new(model.clone(), semantics.clone(), ramps);
+                let name = &model.descriptor.name;
+                // Twice: the first pass fills the memo, the second reads it.
+                for _ in 0..2 {
+                    for batch in 1..=MEMO_BATCHES as u32 + 1 {
+                        let check = |memo: f64, query: TimingQuery| {
+                            let reference = reference::timed(&plan, batch, query);
+                            assert_eq!(
+                                memo.to_bits(),
+                                reference.to_bits(),
+                                "{name}, {} ramps, batch {batch}, {query:?}",
+                                plan.num_ramps()
+                            );
+                        };
+                        check(plan.vanilla_total_us(batch), TimingQuery::VanillaTotal);
+                        check(
+                            plan.total_ramp_overhead_us(batch),
+                            TimingQuery::RampOverhead,
+                        );
+                        for i in 0..plan.num_ramps() {
+                            check(plan.ramp_offset_us(i, batch), TimingQuery::RampOffset(i));
+                        }
+                        for &site in model.graph.topo_order() {
+                            let pos = model.graph.topo_position(site);
+                            check(
+                                plan.site_prefix_us(site, batch),
+                                TimingQuery::LayerPrefix(pos),
+                            );
+                        }
+                        let expected = reference::timed(&plan, batch, TimingQuery::VanillaTotal)
+                            + reference::timed(&plan, batch, TimingQuery::RampOverhead);
+                        assert_eq!(plan.gpu_batch_time_us(batch).to_bits(), expected.to_bits());
+                        assert_eq!(plan.final_offset_us(batch).to_bits(), expected.to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn with_ramps_starts_an_empty_memo() {
+        let plan = plan_with_ramps(2);
+        let _ = plan.gpu_batch_time_us(4);
+        assert!(plan.timing[3].get().is_some());
+        let swapped = plan.with_ramps(Vec::new());
+        assert!(swapped.timing.iter().all(|memo| memo.get().is_none()));
+        assert_eq!(
+            swapped.gpu_batch_time_us(4).to_bits(),
+            plan.vanilla_total_us(4).to_bits()
+        );
+    }
+
+    #[test]
+    fn lazy_first_exit_equals_the_full_row_rule() {
+        let plan = plan_with_ramps(6);
+        let n = plan.num_ramps();
+        let threshold_vectors = [
+            vec![0.0; n],
+            vec![1.0; n],
+            vec![0.25; n],
+            vec![0.0, 0.1, 1.0, 0.0, 0.3, 0.05],
+            vec![1.0, 0.0, 0.0, 0.2, 0.0, 0.0],
+            vec![0.0, 0.0, 0.0, 0.0, 0.0, 0.6],
+            vec![-0.5, f64::NAN, 0.15, 0.0, 1.0, 0.4],
+        ];
+        for seed in [1u64, 7, 42, 1_234] {
+            let model = plan.model().clone();
+            let semantics = SemanticsModel::new(seed, model.descriptor.overparameterization);
+            let plan = ExecutionPlan::new(model, semantics, plan.ramps().to_vec());
+            for i in 0..300 {
+                let sample = SampleSemantics::new(i * 31 + seed, (i % 11) as f64 / 10.0);
+                let row = full_row(&plan, &sample);
+                for thresholds in &threshold_vectors {
+                    assert_eq!(
+                        plan.first_exit(&sample, thresholds),
+                        earliest_exit(&row, thresholds),
+                        "seed {seed}, sample {i}, thresholds {thresholds:?}"
+                    );
+                }
+            }
+        }
     }
 }

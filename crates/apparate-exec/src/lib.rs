@@ -21,7 +21,7 @@ pub mod gpu;
 pub mod profiler;
 pub mod semantics;
 
-pub use engine::{BatchExecution, ExecutionPlan, RampPlacement, RequestObservations};
+pub use engine::{earliest_exit, ExecutionPlan, RampPlacement};
 pub use gpu::{GpuDevice, GpuError};
 pub use profiler::{
     feedback_link, FeedbackReceiver, FeedbackSender, LinkCost, LinkStats, OverheadReport,

@@ -34,8 +34,8 @@ use apparate_core::{
     Monitor, TrainedRamp,
 };
 use apparate_exec::{
-    feedback_link, ExecutionPlan, FeedbackReceiver, FeedbackSender, LinkCost, OverheadReport,
-    ProfileRecord, RequestRelease, SampleSemantics, ThresholdUpdate,
+    earliest_exit, feedback_link, ExecutionPlan, FeedbackReceiver, FeedbackSender, LinkCost,
+    OverheadReport, ProfileRecord, RequestRelease, SampleSemantics, ThresholdUpdate,
 };
 use apparate_serving::{
     BatchOutcome, BatchProfile, ExitPolicy, Request, StepOutcome, TokenPolicy, TokenSlot,
@@ -114,6 +114,8 @@ impl GpuHalf {
 
     /// Execute one batch under the deployed configuration: release decisions
     /// for the platform plus the profiling data to stream to the controller.
+    /// Each request's full observation row goes straight into the profile's
+    /// flat observations, and its exit is decided from that row.
     fn execute(
         &self,
         samples: &[SampleSemantics],
@@ -122,17 +124,15 @@ impl GpuHalf {
         Vec<apparate_serving::RequestOutcome>,
         BatchProfile,
     ) {
-        let exec = self.plan.execute_batch(samples);
         let b = samples.len() as u32;
-        let outcomes: Vec<apparate_serving::RequestOutcome> = exec
-            .per_request
-            .iter()
-            .map(|obs| exit_outcome(&self.plan, obs, &self.thresholds, b))
-            .collect();
         let num_ramps = self.plan.num_ramps();
         let mut observations = Vec::with_capacity(samples.len() * num_ramps);
-        for obs in &exec.per_request {
-            observations.extend_from_slice(&obs.ramp_observations);
+        let mut outcomes = Vec::with_capacity(samples.len());
+        for sample in samples {
+            let row_start = observations.len();
+            observations.extend((0..num_ramps).map(|i| self.plan.observe(sample, i)));
+            let exit = earliest_exit(&observations[row_start..], &self.thresholds);
+            outcomes.push(exit_outcome(&self.plan, exit, b));
         }
         let profile = BatchProfile {
             num_ramps,
@@ -830,14 +830,8 @@ impl TokenPolicy for ApparateTokenPolicy {
         self.samples_scratch
             .extend(slots.iter().map(|s| s.semantics));
         let (_full_pass, outcomes, profile) = self.core.step(&self.samples_scratch, step_start);
-        let per_token: Vec<apparate_serving::TokenOutcome> = outcomes
-            .into_iter()
-            .map(|o| apparate_serving::TokenOutcome {
-                release_offset: o.release_offset,
-                exit_ramp: o.exit_ramp,
-                correct: o.correct,
-            })
-            .collect();
+        let per_token: Vec<apparate_serving::TokenOutcome> =
+            outcomes.into_iter().map(Into::into).collect();
         StepOutcome {
             // §3.4 parallel decoding: the step advances once every token has
             // released; the non-exited suffix overlaps subsequent steps.
@@ -931,6 +925,40 @@ mod tests {
             "the tuned thresholds should have reached the GPU"
         );
         assert!(exited_late > 0, "easy inputs should exit after tuning");
+    }
+
+    #[test]
+    fn gpu_half_profiles_an_observation_per_ramp_per_request() {
+        let mut policy = ApparatePolicy::new(deployment(3), ApparateConfig::default(), 4);
+        let mut now = SimTime::ZERO;
+        for round in 0..40u64 {
+            let batch: Vec<Request> = (0..16)
+                .map(|i| request(round * 16 + i, 0.1 + 0.4 * ((i % 5) as f64 / 5.0)))
+                .collect();
+            let (out, completed) = drive(&mut policy, &batch, now);
+            now = completed;
+            let profile = out.profile.expect("apparate streams a profile per batch");
+            let gpu = &policy.core.gpu;
+            let num_ramps = gpu.plan.num_ramps();
+            assert_eq!(profile.num_ramps, num_ramps);
+            assert_eq!(profile.observations.len(), batch.len() * num_ramps);
+            assert_eq!(profile.releases.len(), batch.len());
+            // Each request's row is its full observation row, and its exit
+            // is the one the lazy static-policy path picks.
+            let rows = profile.observations.chunks(num_ramps);
+            for ((r, row), outcome) in batch.iter().zip(rows).zip(&out.per_request) {
+                for (i, obs) in row.iter().enumerate() {
+                    assert_eq!(*obs, gpu.plan.observe(&r.semantics, i));
+                }
+                let exit = gpu.plan.first_exit(&r.semantics, &gpu.thresholds);
+                assert_eq!(earliest_exit(row, &gpu.thresholds), exit);
+                assert_eq!(outcome.exit_ramp, exit.map(|(i, _)| i));
+            }
+        }
+        assert!(
+            policy.thresholds().iter().any(|&t| t > 0.0),
+            "the rows must have been checked under tuned thresholds too"
+        );
     }
 
     #[test]

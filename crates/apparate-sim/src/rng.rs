@@ -53,11 +53,7 @@ impl DeterministicRng {
     /// Derive an independent stream keyed by up to three integers
     /// (e.g. request id, ramp position, draw kind).
     pub fn stream(&self, keys: &[u64]) -> RngStream {
-        let mut state = splitmix64(self.seed);
-        for (i, k) in keys.iter().enumerate() {
-            state = splitmix64(state ^ splitmix64(k.wrapping_add(i as u64 + 1)));
-        }
-        RngStream::from_state(state)
+        RngStream::from_state(self.key_state(keys))
     }
 
     /// A single deterministic uniform draw in `(0, 1)` for the given keys.
@@ -65,24 +61,44 @@ impl DeterministicRng {
     /// This is the workhorse of the semantics model: cheap, reproducible and
     /// order-independent.
     pub fn unit_draw(&self, keys: &[u64]) -> f64 {
-        let mut state = splitmix64(self.seed);
-        for (i, k) in keys.iter().enumerate() {
-            state = splitmix64(state ^ splitmix64(k.wrapping_add(i as u64 + 1)));
-        }
-        // Map the top 53 bits onto (0, 1); add half an ulp so we never return 0.
-        let mantissa = state >> 11;
-        (mantissa as f64 + 0.5) / ((1u64 << 53) as f64)
+        unit_from_state(self.key_state(keys))
     }
 
     /// A deterministic standard-normal draw for the given keys
     /// (Box–Muller over two decorrelated unit draws).
+    ///
+    /// The second uniform is the [`unit_draw`](Self::unit_draw) of `keys`
+    /// with the key `0xA5A5_5A5A_0F0F_F0F0` appended, derived from the first
+    /// draw's key state by one more mixing step instead of re-hashing a copied
+    /// key list.
     pub fn normal_draw(&self, keys: &[u64]) -> f64 {
-        let u1 = self.unit_draw(keys);
-        let mut keys2: Vec<u64> = keys.to_vec();
-        keys2.push(0xA5A5_5A5A_0F0F_F0F0);
-        let u2 = self.unit_draw(&keys2);
+        let state = self.key_state(keys);
+        let u1 = unit_from_state(state);
+        let u2 = unit_from_state(mix_key(state, keys.len(), NORMAL_SECOND_KEY));
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
+
+    /// The mixed state of `(seed, keys...)`: every keyed draw starts here.
+    fn key_state(&self, keys: &[u64]) -> u64 {
+        keys.iter()
+            .enumerate()
+            .fold(splitmix64(self.seed), |state, (i, &k)| mix_key(state, i, k))
+    }
+}
+
+/// The extra key whose draw is a normal draw's second uniform.
+const NORMAL_SECOND_KEY: u64 = 0xA5A5_5A5A_0F0F_F0F0;
+
+/// Fold key `key`, at position `index` of a key list, into a key state.
+fn mix_key(state: u64, index: usize, key: u64) -> u64 {
+    splitmix64(state ^ splitmix64(key.wrapping_add(index as u64 + 1)))
+}
+
+/// Map the top 53 bits of a key state onto `(0, 1)`; half an ulp is added so
+/// the draw is never 0.
+fn unit_from_state(state: u64) -> f64 {
+    let mantissa = state >> 11;
+    (mantissa as f64 + 0.5) / ((1u64 << 53) as f64)
 }
 
 /// A sequential random stream (ChaCha8) derived from a [`DeterministicRng`].
@@ -194,6 +210,42 @@ mod tests {
         let x2 = root.unit_draw(&[10, 20]);
         assert_eq!(x1.to_bits(), x2.to_bits());
         assert!(x1 > 0.0 && x1 < 1.0);
+    }
+
+    #[test]
+    fn keyed_draws_match_golden_bits() {
+        // Captured before normal draws stopped copying their key list: the
+        // bit patterns every semantics observation is built from. Covers key
+        // lists of length 1, 2 and 3, including the semantics model's
+        // `[seed, 1]` and `[seed, ramp_key, 2..=4]` shapes.
+        let root = DeterministicRng::new(42);
+        let golden: [(&[u64], u64, u64); 5] = [
+            (&[7], 0x3FEF_76D4_3A4A_5AFA, 0xBFC4_9B37_DEC2_002B),
+            (&[7, 1], 0x3FEE_611B_A5B4_CEDC, 0xBFC2_31F4_BD73_9204),
+            (&[7, 123, 2], 0x3F8F_834C_1126_D1E0, 0xBFF3_580F_69F4_6AE9),
+            (&[7, 123, 3], 0x3FE9_9C0A_8380_CFE0, 0xBFBA_21AE_238F_F42E),
+            (&[7, 123, 4], 0x3F9B_62A7_4313_9710, 0xBFBC_0E7D_034B_DA5A),
+        ];
+        for (keys, unit_bits, normal_bits) in golden {
+            assert_eq!(root.unit_draw(keys).to_bits(), unit_bits, "unit {keys:?}");
+            assert_eq!(
+                root.normal_draw(keys).to_bits(),
+                normal_bits,
+                "normal {keys:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn normal_draw_second_uniform_is_the_extended_key_draw() {
+        let root = DeterministicRng::new(3);
+        for keys in [&[5u64][..], &[5, 9], &[5, 9, 2]] {
+            let mut extended = keys.to_vec();
+            extended.push(NORMAL_SECOND_KEY);
+            let (u1, u2) = (root.unit_draw(keys), root.unit_draw(&extended));
+            let expected = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            assert_eq!(root.normal_draw(keys).to_bits(), expected.to_bits());
+        }
     }
 
     #[test]
