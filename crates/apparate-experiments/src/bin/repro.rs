@@ -37,10 +37,9 @@
 //! observability must not look like success.
 
 use apparate_experiments::{
-    render_admission_summary, render_fleet_summary, run_admission_fleet,
-    run_classification_fleet_threaded, run_classification_fleet_traced,
-    run_generative_fleet_threaded, run_scenarios_traced, scenario_config, sensitivity_sweeps,
-    OverheadTable, ReproSizes, ScenarioSelect, SensitivityGrid,
+    render_admission_summary, render_fleet_summary, run_admission_fleet, run_classification_fleet,
+    run_generative_fleet, run_scenarios, sensitivity_sweeps, OverheadTable, ReproSizes,
+    ScenarioSelect, SensitivityGrid,
 };
 use apparate_serving::{available_threads, FleetDispatch};
 use apparate_telemetry::{
@@ -236,7 +235,7 @@ fn main() {
         if args.quick { "quick" } else { "full" }
     ));
 
-    let runs = run_scenarios_traced(
+    let runs = run_scenarios(
         args.seed,
         sizes,
         args.scenario.unwrap_or(ScenarioSelect::All),
@@ -294,23 +293,14 @@ fn run_sweep(seed: u64, quick: bool, sizes: ReproSizes, telemetry: &Telemetry, t
     let scenario = apparate_experiments::cv_scenario(seed, frames).with_arrival_scale(6.0);
     let mut runs = Vec::new();
     for replicas in [1usize, 2, 4, 8] {
-        let run = if replicas == 8 {
-            run_classification_fleet_traced(
-                &scenario,
-                replicas,
-                FleetDispatch::LeastLoaded,
-                scenario_config(),
-                telemetry,
-                threads,
-            )
-        } else {
-            run_classification_fleet_threaded(
-                &scenario,
-                replicas,
-                FleetDispatch::LeastLoaded,
-                threads,
-            )
-        };
+        let untraced = Telemetry::disabled();
+        let run = run_classification_fleet(
+            &scenario,
+            replicas,
+            FleetDispatch::LeastLoaded,
+            threads,
+            if replicas == 8 { telemetry } else { &untraced },
+        );
         emit(&format!("{}\n", run.table.render()));
         runs.push(run);
     }
@@ -326,11 +316,12 @@ fn run_sweep(seed: u64, quick: bool, sizes: ReproSizes, telemetry: &Telemetry, t
         apparate_experiments::generative_scenario(seed, gen_requests).with_arrival_scale(8.0);
     let mut gen_runs = Vec::new();
     for replicas in [1usize, 2, 4, 8] {
-        let run = run_generative_fleet_threaded(
+        let run = run_generative_fleet(
             &generative,
             replicas,
             FleetDispatch::LeastLoaded,
             threads,
+            &Telemetry::disabled(),
         );
         emit(&format!("{}\n", run.table.render()));
         gen_runs.push(run);

@@ -174,10 +174,6 @@ struct ControllerHalf {
     reference_batch: u32,
     /// Per-feasible-site per-exit savings (µs) at the reference batch.
     site_savings_us: Vec<f64>,
-    /// Whether ramp adjustment is enabled. Both the classification and the
-    /// token controller run it by default; tests disable it to isolate
-    /// threshold tuning.
-    adjust_enabled: bool,
     /// Per-active-ramp exit counts since the last adjustment round. Tracked
     /// here (not via the monitor) so a no-op adjustment round does not have to
     /// clear the threshold-tuning window.
@@ -341,8 +337,7 @@ impl ControllerHalf {
         // all-zero thresholds nothing exits, every ramp's utility is pure
         // overhead, and the adjuster would (correctly, but uselessly)
         // deactivate the entire deployment before it ever got a chance.
-        if !self.adjust_enabled
-            || self.needs_tune
+        if self.needs_tune
             || self.plan.num_ramps() == 0
             || self.adjust_requests < self.config.ramp_adjust_period as u64
         {
@@ -454,11 +449,15 @@ struct CoordinatedCore {
 }
 
 impl CoordinatedCore {
+    /// Deploy both halves over `deployment`, joined by a `link`-charged
+    /// uplink and downlink, with thresholds warm-started on `calibration`
+    /// (empty ⇒ all-zero thresholds; the first tune then happens online,
+    /// once the window fills).
     fn new(
         deployment: RampDeployment,
         config: ApparateConfig,
         reference_batch: u32,
-        adjust_enabled: bool,
+        calibration: &[SampleSemantics],
         link: LinkCost,
     ) -> CoordinatedCore {
         config.validate().expect("valid Apparate configuration");
@@ -480,7 +479,7 @@ impl CoordinatedCore {
         let num_ramps = plan.num_ramps();
         let (profile_tx, profile_rx) = feedback_link::<ProfileRecord>(link);
         let (update_tx, update_rx) = feedback_link::<ThresholdUpdate>(link);
-        CoordinatedCore {
+        let mut core = CoordinatedCore {
             gpu: GpuHalf {
                 plan: plan.clone(),
                 thresholds: vec![0.0; num_ramps],
@@ -499,7 +498,6 @@ impl CoordinatedCore {
                 capacity,
                 reference_batch,
                 site_savings_us,
-                adjust_enabled,
                 adjust_exits: vec![0; num_ramps],
                 adjust_requests: 0,
                 needs_tune: true,
@@ -513,7 +511,9 @@ impl CoordinatedCore {
                 telemetry: Telemetry::disabled(),
             },
             profile_tx,
-        }
+        };
+        core.warm_start(calibration);
+        core
     }
 
     /// Attach a telemetry sink to both halves and both link directions. Must
@@ -587,40 +587,16 @@ pub struct ApparatePolicy {
 }
 
 impl ApparatePolicy {
-    /// Deploy Apparate over a prepared ramp deployment with all-zero initial
-    /// thresholds (the first tune happens online, once the window fills) and
-    /// the paper's default PCIe link cost.
-    pub fn new(
-        deployment: RampDeployment,
-        config: ApparateConfig,
-        reference_batch: u32,
-    ) -> ApparatePolicy {
-        ApparatePolicy::with_link(deployment, config, reference_batch, LinkCost::default())
-    }
-
-    /// Deploy Apparate with an explicit GPU ↔ controller link cost model.
-    pub fn with_link(
-        deployment: RampDeployment,
-        config: ApparateConfig,
-        reference_batch: u32,
-        link: LinkCost,
-    ) -> ApparatePolicy {
-        ApparatePolicy {
-            core: CoordinatedCore::new(deployment, config, reference_batch, true, link),
-            name: "apparate".to_string(),
-            samples_scratch: Vec::new(),
-        }
-    }
-
     /// Deploy Apparate with thresholds warm-started on offline calibration
-    /// samples (the bootstrap validation split, §3.1), then adapt online.
+    /// samples (the bootstrap validation split, §3.1), then adapt online over
+    /// the paper's default PCIe link cost.
     pub fn warm_started(
         deployment: RampDeployment,
         config: ApparateConfig,
         reference_batch: u32,
         calibration: &[SampleSemantics],
     ) -> ApparatePolicy {
-        ApparatePolicy::warm_started_with_link(
+        ApparatePolicy::with_link(
             deployment,
             config,
             reference_batch,
@@ -629,17 +605,20 @@ impl ApparatePolicy {
         )
     }
 
-    /// Warm-started deployment with an explicit link cost model.
-    pub fn warm_started_with_link(
+    /// [`ApparatePolicy::warm_started`] over an explicit link cost model; an
+    /// empty `calibration` skips the warm start.
+    fn with_link(
         deployment: RampDeployment,
         config: ApparateConfig,
         reference_batch: u32,
         calibration: &[SampleSemantics],
         link: LinkCost,
     ) -> ApparatePolicy {
-        let mut policy = ApparatePolicy::with_link(deployment, config, reference_batch, link);
-        policy.core.warm_start(calibration);
-        policy
+        ApparatePolicy {
+            core: CoordinatedCore::new(deployment, config, reference_batch, calibration, link),
+            name: "apparate".to_string(),
+            samples_scratch: Vec::new(),
+        }
     }
 
     /// Current per-ramp thresholds *as deployed on the GPU* (the controller's
@@ -729,39 +708,16 @@ pub struct ApparateTokenPolicy {
 }
 
 impl ApparateTokenPolicy {
-    /// Deploy the token controller over a prepared ramp deployment with the
-    /// paper's default PCIe link cost.
-    pub fn new(
-        deployment: RampDeployment,
-        config: ApparateConfig,
-        reference_batch: u32,
-    ) -> ApparateTokenPolicy {
-        ApparateTokenPolicy::with_link(deployment, config, reference_batch, LinkCost::default())
-    }
-
-    /// Deploy the token controller with an explicit link cost model.
-    pub fn with_link(
-        deployment: RampDeployment,
-        config: ApparateConfig,
-        reference_batch: u32,
-        link: LinkCost,
-    ) -> ApparateTokenPolicy {
-        ApparateTokenPolicy {
-            core: CoordinatedCore::new(deployment, config, reference_batch, true, link),
-            name: "apparate".to_string(),
-            samples_scratch: Vec::new(),
-        }
-    }
-
     /// Deploy the token controller with thresholds warm-started on offline
-    /// calibration tokens, then adapt online.
+    /// calibration tokens, then adapt online over the paper's default PCIe
+    /// link cost.
     pub fn warm_started(
         deployment: RampDeployment,
         config: ApparateConfig,
         reference_batch: u32,
         calibration: &[SampleSemantics],
     ) -> ApparateTokenPolicy {
-        ApparateTokenPolicy::warm_started_with_link(
+        ApparateTokenPolicy::with_link(
             deployment,
             config,
             reference_batch,
@@ -770,17 +726,20 @@ impl ApparateTokenPolicy {
         )
     }
 
-    /// Warm-started token controller with an explicit link cost model.
-    pub fn warm_started_with_link(
+    /// [`ApparateTokenPolicy::warm_started`] over an explicit link cost
+    /// model; an empty `calibration` skips the warm start.
+    fn with_link(
         deployment: RampDeployment,
         config: ApparateConfig,
         reference_batch: u32,
         calibration: &[SampleSemantics],
         link: LinkCost,
     ) -> ApparateTokenPolicy {
-        let mut policy = ApparateTokenPolicy::with_link(deployment, config, reference_batch, link);
-        policy.core.warm_start(calibration);
-        policy
+        ApparateTokenPolicy {
+            core: CoordinatedCore::new(deployment, config, reference_batch, calibration, link),
+            name: "apparate".to_string(),
+            samples_scratch: Vec::new(),
+        }
     }
 
     /// Current per-ramp thresholds as deployed on the GPU.
@@ -866,6 +825,12 @@ mod tests {
         )
     }
 
+    /// A classification controller with no warm start (all-zero initial
+    /// thresholds) over the default link, at reference batch 4.
+    fn cold(deployment: RampDeployment, config: ApparateConfig) -> ApparatePolicy {
+        ApparatePolicy::with_link(deployment, config, 4, &[], LinkCost::default())
+    }
+
     fn request(i: u64, difficulty: f64) -> Request {
         Request::classification(
             i,
@@ -896,7 +861,7 @@ mod tests {
 
     #[test]
     fn controller_starts_conservative_then_tunes_up() {
-        let mut policy = ApparatePolicy::new(deployment(3), ApparateConfig::default(), 4);
+        let mut policy = cold(deployment(3), ApparateConfig::default());
         assert!(policy.thresholds().iter().all(|&t| t == 0.0));
         // Feed easy traffic in batches of 8 until past the first tuning round.
         let mut exited_late = 0usize;
@@ -929,7 +894,7 @@ mod tests {
 
     #[test]
     fn gpu_half_profiles_an_observation_per_ramp_per_request() {
-        let mut policy = ApparatePolicy::new(deployment(3), ApparateConfig::default(), 4);
+        let mut policy = cold(deployment(3), ApparateConfig::default());
         let mut now = SimTime::ZERO;
         for round in 0..40u64 {
             let batch: Vec<Request> = (0..16)
@@ -964,7 +929,7 @@ mod tests {
     #[test]
     fn controller_runs_ramp_adjustment_rounds() {
         let config = ApparateConfig::default();
-        let mut policy = ApparatePolicy::new(deployment(9), config, 4);
+        let mut policy = cold(deployment(9), config);
         let mut now = SimTime::ZERO;
         for round in 0..150u64 {
             let batch: Vec<Request> = (0..8)
@@ -983,7 +948,7 @@ mod tests {
 
     #[test]
     fn accuracy_stays_near_constraint_under_drift() {
-        let mut policy = ApparatePolicy::new(deployment(11), ApparateConfig::default(), 4);
+        let mut policy = cold(deployment(11), ApparateConfig::default());
         let mut correct = 0usize;
         let mut total = 0usize;
         let mut now = SimTime::ZERO;
@@ -1017,7 +982,7 @@ mod tests {
             per_kib_us: 0.0,
         };
         let mut policy =
-            ApparatePolicy::with_link(deployment(3), ApparateConfig::default(), 4, slow);
+            ApparatePolicy::with_link(deployment(3), ApparateConfig::default(), 4, &[], slow);
         let mut now = SimTime::ZERO;
         for round in 0..40u64 {
             let batch: Vec<Request> = (0..8)
@@ -1204,7 +1169,7 @@ mod tests {
             per_kib_us: 0.0,
         };
         let calibration = token_calibration(256);
-        let mut policy = ApparateTokenPolicy::warm_started_with_link(
+        let mut policy = ApparateTokenPolicy::with_link(
             token_deployment(3),
             ApparateConfig::default(),
             8,
@@ -1255,7 +1220,7 @@ mod tests {
             per_kib_us: 0.0,
         };
         let mut policy =
-            ApparatePolicy::with_link(deployment(3), ApparateConfig::default(), 4, slow);
+            ApparatePolicy::with_link(deployment(3), ApparateConfig::default(), 4, &[], slow);
         let mut now = SimTime::ZERO;
         let mut tuned_at: Option<SimTime> = None;
         for round in 0..200u64 {

@@ -26,13 +26,12 @@
 use apparate_baselines::{
     batch_time_fn, vanilla_policy, RampDeployment, StaticExitPolicy, StaticTokenPolicy,
 };
-use apparate_core::ApparateConfig;
 use apparate_exec::{LinkStats, OverheadReport};
 use apparate_serving::{
-    available_threads, shard_arrivals, stream_arrivals, AdmissionConfig, FleetDispatch,
-    FleetOutcome, FleetOutcomeView, GenerativeFleetOutcome, GenerativeReplicaFleet, IngestSession,
-    IngestStats, LatencySummary, ReplicaFleet, ReplicaUnit, RequestShard, ServingOutcome,
-    TokenReplicaUnit, TraceShard, VanillaTokenPolicy,
+    shard_arrivals, stream_arrivals, AdmissionConfig, FleetDispatch, FleetOutcome,
+    FleetOutcomeView, GenerativeFleetOutcome, GenerativeReplicaFleet, IngestStats, LatencySummary,
+    ReplicaFleet, ReplicaUnit, RequestShard, ServingOutcome, TokenReplicaUnit, TraceShard,
+    VanillaTokenPolicy,
 };
 use apparate_sim::{Percentiles, SimDuration};
 use apparate_telemetry::Telemetry;
@@ -81,134 +80,59 @@ fn add_stats(total: &mut LinkStats, part: &LinkStats) {
 /// a classification scenario's shared arrival trace. Every replica runs the
 /// scenario's serving config; each Apparate replica is warm-started on the
 /// shared bootstrap validation split and coordinates over its own link.
-/// Replicas execute wall-clock parallel on up to [`available_threads`]
-/// workers; the merged outcome is identical for any thread count.
+/// Replicas execute wall-clock parallel on up to `threads` workers (`1` ⇒ the
+/// sequential path); the merged outcome is identical for any thread count.
+///
+/// `telemetry` is attached to the Apparate fleet's run only: the dispatcher
+/// traces its per-arrival decisions, every replica's serving events land in
+/// that replica's buffer (derived via [`Telemetry::for_replica`]), and each
+/// replica's controller and links are traced. The vanilla and static-EE
+/// fleets stay untraced; pass [`Telemetry::disabled`] for an untraced run.
 pub fn run_classification_fleet(
     scenario: &ClassificationScenario,
     replicas: usize,
     dispatch: FleetDispatch,
-) -> FleetRun {
-    run_classification_fleet_threaded(scenario, replicas, dispatch, available_threads())
-}
-
-/// Like [`run_classification_fleet`], with an explicit worker-thread count
-/// (`1` ⇒ the sequential path).
-pub fn run_classification_fleet_threaded(
-    scenario: &ClassificationScenario,
-    replicas: usize,
-    dispatch: FleetDispatch,
     threads: usize,
-) -> FleetRun {
-    run_classification_fleet_with_config(scenario, replicas, dispatch, scenario_config(), threads)
-}
-
-/// Like [`run_classification_fleet_threaded`], with an explicit controller
-/// config.
-pub fn run_classification_fleet_with_config(
-    scenario: &ClassificationScenario,
-    replicas: usize,
-    dispatch: FleetDispatch,
-    config: ApparateConfig,
-    threads: usize,
-) -> FleetRun {
-    run_classification_fleet_traced(
-        scenario,
-        replicas,
-        dispatch,
-        config,
-        &Telemetry::disabled(),
-        threads,
-    )
-}
-
-/// Like [`run_classification_fleet_with_config`], with a telemetry sink
-/// attached to the Apparate fleet's run: the dispatcher traces its per-arrival
-/// decisions, every replica's serving events land in that replica's buffer
-/// (derived via [`Telemetry::for_replica`]), and each replica's controller and
-/// links are traced. The vanilla and static-EE fleets stay untraced.
-pub fn run_classification_fleet_traced(
-    scenario: &ClassificationScenario,
-    replicas: usize,
-    dispatch: FleetDispatch,
-    config: ApparateConfig,
     telemetry: &Telemetry,
-    threads: usize,
 ) -> FleetRun {
-    let (_, trace, dep_budget) = classification_fixture(scenario, &config);
+    let (_, trace, dep_budget) = classification_fixture(scenario, &scenario_config());
     // The dispatcher's per-request service estimate: the batch-1 vanilla
     // execution time (what a production front end knows about the model).
-    let service_estimate = classification_service_estimate(&dep_budget);
+    let service_estimate = front_end_estimate(&dep_budget);
     // Sharding depends only on arrivals and dispatch, so all three policy
     // families serve these exact shards.
     let shards = shard_arrivals(&trace, replicas, dispatch, service_estimate);
-    run_classification_fleet_over_shards(
-        scenario, replicas, dispatch, config, telemetry, threads, &shards,
-    )
+    let fleet = ReplicaFleet::new(replicas, dispatch, scenario.serving.clone());
+    classification_fleet_over_shards(scenario, &fleet, &dep_budget, telemetry, threads, &shards)
 }
 
-/// The front end's per-request service estimate for a classification fleet:
-/// the batch-1 vanilla execution time of the deployed model.
-fn classification_service_estimate(dep_budget: &RampDeployment) -> SimDuration {
+/// The front end's service estimate: the batch-1 vanilla execution time of
+/// the deployed model. A classification fleet charges it per request; a
+/// generative fleet per decode step, so a request's projected service is this
+/// times its output length.
+fn front_end_estimate(dep_budget: &RampDeployment) -> SimDuration {
     let vanilla_plan = dep_budget.plan.with_ramps(Vec::new());
     SimDuration::from_micros_f64(vanilla_plan.vanilla_total_us(1))
 }
 
-/// Like [`run_classification_fleet_traced`], with the replay sharding step
-/// replaced by streaming ingest: arrivals are consumed one at a time through
-/// an [`IngestSession`] in passthrough mode (no admission), which makes
-/// *exactly* the batch path's dispatch decisions — so the resulting table is
-/// byte-identical to [`run_classification_fleet`] on the same scenario. This
-/// is the determinism fence `tests/parallel.rs` diffs at every thread count.
-pub fn run_classification_fleet_streamed(
+/// Serve pre-computed shards with the vanilla, static-EE and Apparate fleets
+/// over the scenario's already-built ramp deployment. Both
+/// [`run_classification_fleet`] and the replay pass of
+/// [`run_admission_fleet`] funnel through here.
+fn classification_fleet_over_shards(
     scenario: &ClassificationScenario,
-    replicas: usize,
-    dispatch: FleetDispatch,
-    threads: usize,
-) -> FleetRun {
-    let config = scenario_config();
-    let (_, trace, dep_budget) = classification_fixture(scenario, &config);
-    let service_estimate = classification_service_estimate(&dep_budget);
-    let streamed = stream_arrivals(
-        &trace,
-        replicas,
-        dispatch,
-        service_estimate,
-        None,
-        &Telemetry::disabled(),
-    );
-    run_classification_fleet_over_shards(
-        scenario,
-        replicas,
-        dispatch,
-        config,
-        &Telemetry::disabled(),
-        threads,
-        &streamed.shards,
-    )
-}
-
-/// Serve pre-computed shards with the vanilla, static-EE and Apparate fleets.
-/// Both the trace-replay path ([`run_classification_fleet_traced`]) and the
-/// streamed-ingest paths ([`run_classification_fleet_streamed`],
-/// [`run_admission_fleet`]) funnel through here, so identical shards produce
-/// byte-identical tables regardless of how the arrivals were consumed.
-#[allow(clippy::too_many_arguments)]
-pub fn run_classification_fleet_over_shards(
-    scenario: &ClassificationScenario,
-    replicas: usize,
-    dispatch: FleetDispatch,
-    config: ApparateConfig,
+    fleet: &ReplicaFleet,
+    dep_budget: &RampDeployment,
     telemetry: &Telemetry,
     threads: usize,
     shards: &[TraceShard],
 ) -> FleetRun {
+    let (replicas, dispatch) = (fleet.replicas, fleet.dispatch);
     let split = scenario.workload.bootstrap_split();
     let serving_samples = split.serving;
     let n: usize = shards.iter().map(|s| s.indices.len()).sum();
-    let (_, _, dep_budget) = classification_fixture(scenario, &config);
     let vanilla_plan = dep_budget.plan.with_ramps(Vec::new());
     let budget_plan = dep_budget.plan.clone();
-    let fleet = ReplicaFleet::new(replicas, dispatch, scenario.serving.clone());
 
     let mut summaries: Vec<LatencySummary> = Vec::new();
 
@@ -251,12 +175,11 @@ pub fn run_classification_fleet_over_shards(
     // Apparate fleet: one warm-started controller per replica, each over its
     // own charged link.
     let (apparate_out, overhead) = apparate_fleet(
-        &fleet,
+        fleet,
         shards,
         serving_samples,
         split.validation,
-        &dep_budget,
-        config,
+        dep_budget,
         scenario.reference_batch,
         telemetry,
         threads,
@@ -290,11 +213,11 @@ fn apparate_fleet(
     serving_samples: &[apparate_exec::SampleSemantics],
     validation: &[apparate_exec::SampleSemantics],
     dep_budget: &RampDeployment,
-    config: ApparateConfig,
     reference_batch: u32,
     telemetry: &Telemetry,
     threads: usize,
 ) -> (FleetOutcome<ServingOutcome>, OverheadReport) {
+    let config = scenario_config();
     // Only the Apparate fleet is traced: attach the sink to a clone of the
     // (config-only) fleet handle so the baseline families stay untraced.
     let fleet = fleet.clone().with_telemetry(telemetry.clone());
@@ -343,123 +266,40 @@ fn apparate_fleet(
 /// carries its own warm-started token controller over its own charged link —
 /// running the full Algorithm 2 loop, ramp-set adjustment included. The
 /// resulting [`FleetRun`] table is the TPT analogue of the classification
-/// fleet's latency table.
+/// fleet's latency table. `threads` and `telemetry` work as in
+/// [`run_classification_fleet`].
 pub fn run_generative_fleet(
     scenario: &GenerativeScenario,
     replicas: usize,
     dispatch: FleetDispatch,
-) -> FleetRun {
-    run_generative_fleet_threaded(scenario, replicas, dispatch, available_threads())
-}
-
-/// Like [`run_generative_fleet`], with an explicit worker-thread count
-/// (`1` ⇒ the sequential path).
-pub fn run_generative_fleet_threaded(
-    scenario: &GenerativeScenario,
-    replicas: usize,
-    dispatch: FleetDispatch,
     threads: usize,
-) -> FleetRun {
-    run_generative_fleet_traced(
-        scenario,
-        replicas,
-        dispatch,
-        &Telemetry::disabled(),
-        threads,
-    )
-}
-
-/// Like [`run_generative_fleet_threaded`], with a telemetry sink attached to
-/// the Apparate fleet's run (see [`run_classification_fleet_traced`]).
-pub fn run_generative_fleet_traced(
-    scenario: &GenerativeScenario,
-    replicas: usize,
-    dispatch: FleetDispatch,
     telemetry: &Telemetry,
-    threads: usize,
 ) -> FleetRun {
-    let config = scenario_config();
-    let (_, dep_budget) = generative_fixture(scenario, &config);
-    let per_token_estimate = generative_service_estimate(&dep_budget);
+    let (_, dep_budget) = generative_fixture(scenario, &scenario_config());
+    let per_token_estimate = front_end_estimate(&dep_budget);
     let requests = generative_requests(scenario);
     let fleet = GenerativeReplicaFleet::new(replicas, dispatch, scenario.batching);
     // Sharding depends only on arrivals, output lengths and dispatch, so all
     // three policy families serve these exact shards.
     let shards = fleet.shard(&requests, per_token_estimate);
-    run_generative_fleet_over_shards(scenario, replicas, dispatch, telemetry, threads, &shards)
-}
-
-/// The front end's per-*token* service estimate for a generative fleet: the
-/// batch-1 decode-step time of the deployed model. A request's projected
-/// service is this times its output length.
-fn generative_service_estimate(dep_budget: &RampDeployment) -> SimDuration {
-    let vanilla_plan = dep_budget.plan.with_ramps(Vec::new());
-    SimDuration::from_micros_f64(vanilla_plan.vanilla_total_us(1))
-}
-
-/// Like [`run_generative_fleet_threaded`], with the replay sharding step
-/// replaced by streaming ingest: whole sequences are offered one at a time
-/// through an [`IngestSession`] in passthrough mode, each weighted by its
-/// projected decode time (`output_tokens × per-token estimate`), reproducing
-/// the batch [`apparate_serving::shard_requests`] decisions exactly — so the
-/// resulting table is byte-identical to [`run_generative_fleet`].
-pub fn run_generative_fleet_streamed(
-    scenario: &GenerativeScenario,
-    replicas: usize,
-    dispatch: FleetDispatch,
-    threads: usize,
-) -> FleetRun {
-    let config = scenario_config();
-    let (_, dep_budget) = generative_fixture(scenario, &config);
-    let per_token_estimate = generative_service_estimate(&dep_budget);
-    let requests = generative_requests(scenario);
-    let mut session = IngestSession::new(replicas, dispatch, per_token_estimate);
-    for request in &requests {
-        let service = SimDuration::from_micros_f64(
-            per_token_estimate.as_micros() as f64 * request.output_tokens.max(1) as f64,
-        );
-        session.offer_weighted(request.arrival, service);
-    }
-    let streamed = session.finish();
-    // Rebuild whole-sequence shards from the streamed dispatch decisions:
-    // the shard carries the actual requests, not just arrival times.
-    let shards: Vec<RequestShard> = streamed
-        .shards
-        .iter()
-        .map(|shard| RequestShard {
-            requests: shard.indices.iter().map(|&i| requests[i].clone()).collect(),
-            indices: shard.indices.clone(),
-        })
-        .collect();
-    run_generative_fleet_over_shards(
-        scenario,
-        replicas,
-        dispatch,
-        &Telemetry::disabled(),
-        threads,
-        &shards,
-    )
+    generative_fleet_over_shards(scenario, &fleet, &dep_budget, telemetry, threads, &shards)
 }
 
 /// Serve pre-computed request shards with the vanilla, static-EE and Apparate
-/// token-policy fleets. Both the replay path ([`run_generative_fleet_traced`])
-/// and the streamed path ([`run_generative_fleet_streamed`]) funnel through
-/// here, so identical shards produce byte-identical tables.
-pub fn run_generative_fleet_over_shards(
+/// token-policy fleets over the scenario's already-built ramp deployment.
+fn generative_fleet_over_shards(
     scenario: &GenerativeScenario,
-    replicas: usize,
-    dispatch: FleetDispatch,
+    fleet: &GenerativeReplicaFleet,
+    dep_budget: &RampDeployment,
     telemetry: &Telemetry,
     threads: usize,
     shards: &[RequestShard],
 ) -> FleetRun {
-    let config = scenario_config();
-    let (_, dep_budget) = generative_fixture(scenario, &config);
+    let (replicas, dispatch) = (fleet.replicas, fleet.dispatch);
     let vanilla_plan = dep_budget.plan.with_ramps(Vec::new());
     let budget_plan = dep_budget.plan.clone();
     let tokens = WorkloadTokens(&scenario.workload);
     let calibration = generative_calibration(&scenario.workload);
-    let fleet = GenerativeReplicaFleet::new(replicas, dispatch, scenario.batching);
 
     let mut summaries: Vec<LatencySummary> = Vec::new();
 
@@ -504,12 +344,11 @@ pub fn run_generative_fleet_over_shards(
     // Apparate fleet: one warm-started token controller per replica, each
     // over its own charged link.
     let (apparate_out, overhead) = apparate_generative_fleet(
-        &fleet,
+        fleet,
         shards,
         &tokens,
         &calibration,
-        &dep_budget,
-        config,
+        dep_budget,
         scenario.reference_batch,
         telemetry,
         threads,
@@ -543,11 +382,11 @@ fn apparate_generative_fleet(
     tokens: &WorkloadTokens<'_>,
     calibration: &[apparate_exec::SampleSemantics],
     dep_budget: &RampDeployment,
-    config: ApparateConfig,
     reference_batch: u32,
     telemetry: &Telemetry,
     threads: usize,
 ) -> (GenerativeFleetOutcome, OverheadReport) {
+    let config = scenario_config();
     let fleet = fleet.clone().with_telemetry(telemetry.clone());
     let mut policies: Vec<ApparateTokenPolicy> = (0..fleet.replicas)
         .map(|r| {
@@ -639,22 +478,21 @@ pub fn run_admission_fleet(
     dispatch: FleetDispatch,
     threads: usize,
 ) -> AdmissionFleetRun {
-    let config = scenario_config();
     let slo = scenario
         .serving
         .slo
         .expect("admission control needs a response SLO");
-    let (_, trace, dep_budget) = classification_fixture(scenario, &config);
-    let service_estimate = classification_service_estimate(&dep_budget);
+    let (_, trace, dep_budget) = classification_fixture(scenario, &scenario_config());
+    let service_estimate = front_end_estimate(&dep_budget);
 
     // Pass 1: the admit-everything fleet over plain replay shards (the
     // vanilla row of the same run anchors the table's wins).
+    let fleet = ReplicaFleet::new(replicas, dispatch, scenario.serving.clone());
     let replay_shards = shard_arrivals(&trace, replicas, dispatch, service_estimate);
-    let replay = run_classification_fleet_over_shards(
+    let replay = classification_fleet_over_shards(
         scenario,
-        replicas,
-        dispatch,
-        config,
+        &fleet,
+        &dep_budget,
         &Telemetry::disabled(),
         threads,
         &replay_shards,
@@ -689,14 +527,12 @@ pub fn run_admission_fleet(
     );
 
     let split = scenario.workload.bootstrap_split();
-    let fleet = ReplicaFleet::new(replicas, dispatch, scenario.serving.clone());
     let (admitted_out, _overhead) = apparate_fleet(
         &fleet,
         &streamed.shards,
         split.serving,
         split.validation,
         &dep_budget,
-        config,
         scenario.reference_batch,
         &Telemetry::disabled(),
         threads,

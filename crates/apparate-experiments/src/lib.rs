@@ -17,6 +17,25 @@
 //!   (Figures 17/19) over the grids in [`SensitivityGrid`].
 //! * [`report`] — deterministic paper-style win tables.
 //!
+//! Each experiment has exactly one public runner:
+//!
+//! | runner | experiment |
+//! |---|---|
+//! | [`run_scenarios`] | the CV/NLP/generative comparison tables behind `repro` |
+//! | [`run_classification_full`] | one classification scenario, full policy family |
+//! | [`run_generative_traced`] | one generative scenario, full policy family |
+//! | [`run_classification_fleet`] | a classification fleet of N replicas |
+//! | [`run_generative_fleet`] | a generative (decode-loop) fleet of N replicas |
+//! | [`run_admission_fleet`] | an overloaded fleet with and without admission control |
+//! | [`run_overhead`] | the §4.5 coordination bill, Apparate only |
+//! | [`run_classification_overhead`] | the same bill for one classification scenario |
+//! | [`run_classification_duel`] | vanilla vs. Apparate under an explicit config (the sweeps) |
+//!
+//! Runners that can trace take a [`Telemetry`](apparate_telemetry::Telemetry)
+//! handle (pass `Telemetry::disabled()` for none), and fleet runners take the
+//! worker-thread count. Every runner uses [`scenario_config`] except the duel,
+//! whose config is the swept knob.
+//!
 //! The `repro` binary (`cargo run --release -p apparate-experiments --bin
 //! repro`) runs all three scenarios and prints the comparison tables; `repro
 //! --sweep` prints the fleet scale-out tables (1/2/4/8 replicas) and both
@@ -34,20 +53,14 @@ pub mod sweep;
 pub use controller::{ApparatePolicy, ApparateTokenPolicy, ControllerStats};
 pub use fleet::{
     render_admission_summary, render_fleet_summary, run_admission_fleet, run_classification_fleet,
-    run_classification_fleet_over_shards, run_classification_fleet_streamed,
-    run_classification_fleet_threaded, run_classification_fleet_traced,
-    run_classification_fleet_with_config, run_generative_fleet, run_generative_fleet_over_shards,
-    run_generative_fleet_streamed, run_generative_fleet_threaded, run_generative_fleet_traced,
-    AdmissionFleetRun, FleetRun,
+    run_generative_fleet, AdmissionFleetRun, FleetRun,
 };
 pub use report::{ComparisonTable, OverheadRow, OverheadTable, PolicyRow};
 pub use scenario::{
     cv_scenario, diurnal_scenario, generative_calibration, generative_requests,
-    generative_scenario, nlp_scenario, run_classification, run_classification_duel,
-    run_classification_full, run_classification_overhead, run_classification_traced,
-    run_generative, run_generative_full, run_generative_overhead, run_generative_traced,
-    run_overhead, run_scenarios, run_scenarios_full, run_scenarios_traced, scenario_config,
-    ClassificationScenario, DuelRun, GenerativeScenario, ReproSizes, ScenarioCdfs, ScenarioRun,
-    ScenarioSelect, SensitivityGrid, TraceKind, WorkloadTokens, STATIC_THRESHOLD,
+    generative_scenario, nlp_scenario, run_classification_duel, run_classification_full,
+    run_classification_overhead, run_generative_traced, run_overhead, run_scenarios,
+    scenario_config, ClassificationScenario, DuelRun, GenerativeScenario, ReproSizes, ScenarioCdfs,
+    ScenarioRun, ScenarioSelect, SensitivityGrid, TraceKind, WorkloadTokens, STATIC_THRESHOLD,
 };
 pub use sweep::{accuracy_sweep, sensitivity_sweeps, slo_sweep, SweepPoint, SweepTable};

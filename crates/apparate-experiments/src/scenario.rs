@@ -138,33 +138,18 @@ pub struct ScenarioRun {
     pub cdfs: ScenarioCdfs,
 }
 
-/// Run the selected comparison scenarios at the given sizes and return their
-/// tables in a fixed order. This is the reusable entry point behind the
-/// `repro` binary and the `e2e` bench suite: everything is derived from
-/// `seed`, so the same arguments always produce the same tables.
-pub fn run_scenarios(seed: u64, sizes: ReproSizes, select: ScenarioSelect) -> Vec<ComparisonTable> {
-    run_scenarios_full(seed, sizes, select)
-        .into_iter()
-        .map(|run| run.table)
-        .collect()
-}
-
-/// Like [`run_scenarios`], but additionally returns each scenario's §4.5
-/// overhead charges (the `overhead` experiment).
-pub fn run_scenarios_full(
-    seed: u64,
-    sizes: ReproSizes,
-    select: ScenarioSelect,
-) -> Vec<ScenarioRun> {
-    run_scenarios_traced(seed, sizes, select, &Telemetry::disabled())
-}
-
-/// Like [`run_scenarios_full`], with a telemetry sink attached to each
-/// scenario's *Apparate* run (baselines stay untraced — the trace describes
-/// the system under study, not the comparison family). Scenario `i` is tagged
-/// as replica lane `i`, so per-scenario series never interleave; fleet runs
-/// re-tag per actual replica instead.
-pub fn run_scenarios_traced(
+/// Run the selected comparison scenarios at the given sizes and return each
+/// scenario's table, §4.5 overhead charges and CDFs in a fixed order. This is
+/// the reusable entry point behind the `repro` binary and the `e2e` bench
+/// suite: everything is derived from `seed`, so the same arguments always
+/// produce the same results.
+///
+/// `telemetry` is attached to each scenario's *Apparate* run (baselines stay
+/// untraced — the trace describes the system under study, not the comparison
+/// family); pass [`Telemetry::disabled`] for an untraced run. Scenario `i` is
+/// tagged as replica lane `i`, so per-scenario series never interleave; fleet
+/// runs re-tag per actual replica instead.
+pub fn run_scenarios(
     seed: u64,
     sizes: ReproSizes,
     select: ScenarioSelect,
@@ -206,7 +191,7 @@ pub fn run_scenarios_traced(
 
 /// The `overhead` scenario: run *only* the Apparate policy over the selected
 /// workloads and collect its coordination charges, rendered as one §4.5-style
-/// table. Much cheaper than [`run_scenarios_full`] — the baseline family pays
+/// table. Much cheaper than [`run_scenarios`] — the baseline family pays
 /// no link cost, so it is not simulated here.
 pub fn run_overhead(seed: u64, sizes: ReproSizes, select: ScenarioSelect) -> OverheadTable {
     let mut rows = Vec::new();
@@ -484,21 +469,16 @@ pub(crate) fn classification_fixture(
     (semantics, trace, dep_budget)
 }
 
-/// Run the full policy family on a classification scenario.
-pub fn run_classification(scenario: &ClassificationScenario) -> ComparisonTable {
-    run_classification_full(scenario).table
-}
-
 /// Run the full policy family on a classification scenario, also returning
-/// the Apparate run's coordination charges.
+/// the Apparate run's coordination charges and CDFs.
 pub fn run_classification_full(scenario: &ClassificationScenario) -> ScenarioRun {
     run_classification_traced(scenario, &Telemetry::disabled())
 }
 
-/// Like [`run_classification_full`], with a telemetry sink attached to the
+/// [`run_classification_full`] with a telemetry sink attached to the
 /// Apparate run (platform events, controller events and both link
 /// directions). Baseline runs stay untraced.
-pub fn run_classification_traced(
+fn run_classification_traced(
     scenario: &ClassificationScenario,
     telemetry: &Telemetry,
 ) -> ScenarioRun {
@@ -787,20 +767,11 @@ pub(crate) fn generative_fixture(
     (semantics, dep_budget)
 }
 
-/// Run the full policy family on a generative scenario.
-pub fn run_generative(scenario: &GenerativeScenario) -> ComparisonTable {
-    run_generative_full(scenario).table
-}
-
 /// Run the full policy family on a generative scenario, also returning the
-/// Apparate run's coordination charges.
-pub fn run_generative_full(scenario: &GenerativeScenario) -> ScenarioRun {
-    run_generative_traced(scenario, &Telemetry::disabled())
-}
-
-/// Like [`run_generative_full`], with a telemetry sink attached to the
-/// Apparate run (decode-step events, controller events and both link
-/// directions). Baseline runs stay untraced.
+/// Apparate run's coordination charges and CDFs. `telemetry` is attached to
+/// the Apparate run (decode-step events, controller events and both link
+/// directions); baseline runs stay untraced. Pass [`Telemetry::disabled`] for
+/// an untraced run.
 pub fn run_generative_traced(scenario: &GenerativeScenario, telemetry: &Telemetry) -> ScenarioRun {
     let config = scenario_config();
     let requests = generative_requests(scenario);
@@ -932,7 +903,7 @@ fn apparate_generative(
 
 /// Run only the Apparate token policy on a generative scenario and return its
 /// §4.5 coordination charges (the cheap path behind [`run_overhead`]).
-pub fn run_generative_overhead(scenario: &GenerativeScenario) -> OverheadRow {
+fn run_generative_overhead(scenario: &GenerativeScenario) -> OverheadRow {
     let config = scenario_config();
     let requests = generative_requests(scenario);
     let tokens = WorkloadTokens(&scenario.workload);

@@ -2,14 +2,15 @@
 //! repro harness makes must hold on fixed seeds.
 
 use apparate_experiments::{
-    cv_scenario, generative_scenario, nlp_scenario, run_classification, run_classification_full,
-    run_generative, ComparisonTable,
+    cv_scenario, generative_scenario, nlp_scenario, run_classification_full, run_generative_traced,
+    ComparisonTable,
 };
+use apparate_telemetry::Telemetry;
 
 /// Quick but non-trivial CV scenario: 2 500 frames → 2 250 served requests
 /// after the bootstrap split.
 fn cv_table() -> ComparisonTable {
-    run_classification(&cv_scenario(42, 2_500))
+    run_classification_full(&cv_scenario(42, 2_500)).table
 }
 
 #[test]
@@ -72,7 +73,9 @@ fn cv_tables_are_deterministic_per_seed() {
     let a = cv_table().render();
     let b = cv_table().render();
     assert_eq!(a, b, "same seed must render byte-identical tables");
-    let other = run_classification(&cv_scenario(7, 2_500)).render();
+    let other = run_classification_full(&cv_scenario(7, 2_500))
+        .table
+        .render();
     assert_ne!(a, other, "a different seed should change the numbers");
 }
 
@@ -144,7 +147,8 @@ fn controller_in_the_loop_is_deterministic_with_charged_link() {
 
 #[test]
 fn generative_comparison_holds_and_is_deterministic() {
-    let build = || run_generative(&generative_scenario(42, 40));
+    let build =
+        || run_generative_traced(&generative_scenario(42, 40), &Telemetry::disabled()).table;
     let table = build();
     assert_eq!(table.rows.len(), 6, "six policies are compared");
     let apparate = table.row("apparate").expect("apparate row");

@@ -4,12 +4,29 @@
 //! classification fleet and the generative (decode-loop) fleet.
 
 use apparate_experiments::{
-    cv_scenario, generative_scenario, run_classification_fleet, run_generative_fleet, FleetRun,
+    cv_scenario, generative_scenario, run_classification_fleet, run_generative_fleet,
+    ClassificationScenario, FleetRun,
 };
-use apparate_serving::FleetDispatch;
+use apparate_serving::{available_threads, FleetDispatch};
+use apparate_telemetry::Telemetry;
+
+/// An untraced classification fleet run on every available core.
+fn cv_fleet(
+    scenario: &ClassificationScenario,
+    replicas: usize,
+    dispatch: FleetDispatch,
+) -> FleetRun {
+    run_classification_fleet(
+        scenario,
+        replicas,
+        dispatch,
+        available_threads(),
+        &Telemetry::disabled(),
+    )
+}
 
 fn fleet(replicas: usize) -> FleetRun {
-    run_classification_fleet(
+    cv_fleet(
         &cv_scenario(42, 2_000),
         replicas,
         FleetDispatch::LeastLoaded,
@@ -53,7 +70,7 @@ fn same_seed_produces_identical_fleet_tables() {
 }
 
 fn fleet_seeded(seed: u64, replicas: usize) -> FleetRun {
-    run_classification_fleet(
+    cv_fleet(
         &cv_scenario(seed, 2_000),
         replicas,
         FleetDispatch::LeastLoaded,
@@ -65,7 +82,7 @@ fn dispatch_invariants_hold_at_every_fleet_size() {
     // 2 000 frames → 1 800 served requests after the bootstrap split.
     for replicas in [1usize, 2, 4, 8] {
         for dispatch in [FleetDispatch::RoundRobin, FleetDispatch::LeastLoaded] {
-            let run = run_classification_fleet(&cv_scenario(42, 2_000), replicas, dispatch);
+            let run = cv_fleet(&cv_scenario(42, 2_000), replicas, dispatch);
             assert_eq!(run.shard_sizes.len(), replicas);
             assert_eq!(
                 run.shard_sizes.iter().sum::<usize>(),
@@ -107,6 +124,8 @@ fn generative_fleet(seed: u64, replicas: usize) -> FleetRun {
         &generative_scenario(seed, 60).with_arrival_scale(8.0),
         replicas,
         FleetDispatch::LeastLoaded,
+        available_threads(),
+        &Telemetry::disabled(),
     )
 }
 
@@ -152,6 +171,8 @@ fn generative_dispatch_invariants_hold_at_every_fleet_size() {
                 &generative_scenario(42, 60).with_arrival_scale(8.0),
                 replicas,
                 dispatch,
+                available_threads(),
+                &Telemetry::disabled(),
             );
             assert_eq!(run.shard_sizes.len(), replicas);
             assert_eq!(
@@ -214,8 +235,8 @@ fn scale_out_relieves_an_overloaded_shared_stream() {
     // replicas are comfortably provisioned, so the Apparate fleet's pooled
     // median latency must collapse by orders of magnitude.
     let scenario = || cv_scenario(42, 2_000).with_arrival_scale(6.0);
-    let single = run_classification_fleet(&scenario(), 1, FleetDispatch::LeastLoaded);
-    let quad = run_classification_fleet(&scenario(), 4, FleetDispatch::LeastLoaded);
+    let single = cv_fleet(&scenario(), 1, FleetDispatch::LeastLoaded);
+    let quad = cv_fleet(&scenario(), 4, FleetDispatch::LeastLoaded);
     let single_p50 = single.apparate().summary.latency_ms.p50;
     let quad_p50 = quad.apparate().summary.latency_ms.p50;
     assert!(

@@ -8,28 +8,44 @@
 //! execution buys wall-clock time only.
 
 use apparate_experiments::{
-    cv_scenario, generative_scenario, run_classification_fleet_streamed,
-    run_classification_fleet_threaded, run_classification_fleet_traced,
-    run_generative_fleet_streamed, run_generative_fleet_threaded, run_generative_fleet_traced,
-    scenario_config,
+    cv_scenario, generative_scenario, run_classification_fleet, run_generative_fleet, FleetRun,
 };
 use apparate_serving::FleetDispatch;
 use apparate_telemetry::{
     render_metrics_json_lines, render_trace_json_lines, Telemetry, TelemetryConfig,
 };
 
-/// Render everything observable about one traced classification fleet run at
-/// the given thread count: the win table plus both JSON-lines exports.
-fn classification_artifacts(threads: usize) -> (String, String, String) {
-    let telemetry = Telemetry::recording(TelemetryConfig::default());
-    let run = run_classification_fleet_traced(
+/// One of the two fleets below, at a thread count and with a sink.
+type FleetRunner = fn(usize, &Telemetry) -> FleetRun;
+
+/// The classification fleet every test here runs: 4 least-loaded replicas
+/// over a 1 500-frame CV stream.
+fn classification_fleet(threads: usize, telemetry: &Telemetry) -> FleetRun {
+    run_classification_fleet(
         &cv_scenario(42, 1_500),
         4,
         FleetDispatch::LeastLoaded,
-        scenario_config(),
-        &telemetry,
         threads,
-    );
+        telemetry,
+    )
+}
+
+/// The generative counterpart: 4 least-loaded replicas over 48 sequences.
+fn generative_fleet(threads: usize, telemetry: &Telemetry) -> FleetRun {
+    run_generative_fleet(
+        &generative_scenario(42, 48),
+        4,
+        FleetDispatch::LeastLoaded,
+        threads,
+        telemetry,
+    )
+}
+
+/// Render everything observable about one traced fleet run at the given
+/// thread count: the win table plus both JSON-lines exports.
+fn artifacts(fleet: FleetRunner, threads: usize) -> (String, String, String) {
+    let telemetry = Telemetry::recording(TelemetryConfig::default());
+    let run = fleet(threads, &telemetry);
     let snapshot = telemetry.snapshot().expect("recording sink");
     (
         run.table.render(),
@@ -38,132 +54,61 @@ fn classification_artifacts(threads: usize) -> (String, String, String) {
     )
 }
 
-/// Same, for the generative fleet (TPT tables, decode-loop telemetry).
-fn generative_artifacts(threads: usize) -> (String, String, String) {
-    let telemetry = Telemetry::recording(TelemetryConfig::default());
-    let run = run_generative_fleet_traced(
-        &generative_scenario(42, 48),
-        4,
-        FleetDispatch::LeastLoaded,
-        &telemetry,
-        threads,
-    );
-    let snapshot = telemetry.snapshot().expect("recording sink");
-    (
-        run.table.render(),
-        render_trace_json_lines(&snapshot),
-        render_metrics_json_lines(&snapshot),
-    )
+/// The fleet's table and both exports at 2 and 8 threads equal the
+/// sequential run's, byte for byte.
+fn assert_artifacts_match_sequential(fleet: FleetRunner) {
+    let (table1, trace1, metrics1) = artifacts(fleet, 1);
+    assert!(!trace1.is_empty(), "the traced run must record events");
+    for threads in [2, 8] {
+        let (table, trace, metrics) = artifacts(fleet, threads);
+        assert_eq!(
+            table1, table,
+            "win table diverged from sequential at {threads} threads"
+        );
+        assert_eq!(
+            trace1, trace,
+            "event-trace export diverged from sequential at {threads} threads"
+        );
+        assert_eq!(
+            metrics1, metrics,
+            "metrics export diverged from sequential at {threads} threads"
+        );
+    }
 }
 
 #[test]
 fn classification_artifacts_are_byte_identical_across_thread_counts() {
-    let (table1, trace1, metrics1) = classification_artifacts(1);
-    assert!(!trace1.is_empty(), "the traced run must record events");
-    for threads in [2, 8] {
-        let (table, trace, metrics) = classification_artifacts(threads);
-        assert_eq!(
-            table1, table,
-            "win table diverged from sequential at {threads} threads"
-        );
-        assert_eq!(
-            trace1, trace,
-            "event-trace export diverged from sequential at {threads} threads"
-        );
-        assert_eq!(
-            metrics1, metrics,
-            "metrics export diverged from sequential at {threads} threads"
-        );
-    }
+    assert_artifacts_match_sequential(classification_fleet);
 }
 
 #[test]
 fn generative_artifacts_are_byte_identical_across_thread_counts() {
-    let (table1, trace1, metrics1) = generative_artifacts(1);
-    assert!(!trace1.is_empty(), "the traced run must record events");
-    for threads in [2, 8] {
-        let (table, trace, metrics) = generative_artifacts(threads);
-        assert_eq!(
-            table1, table,
-            "win table diverged from sequential at {threads} threads"
-        );
-        assert_eq!(
-            trace1, trace,
-            "event-trace export diverged from sequential at {threads} threads"
-        );
-        assert_eq!(
-            metrics1, metrics,
-            "metrics export diverged from sequential at {threads} threads"
-        );
-    }
+    assert_artifacts_match_sequential(generative_fleet);
 }
 
 #[test]
-fn streamed_classification_ingest_matches_trace_replay_at_every_thread_count() {
-    // One-event-at-a-time ingest (passthrough, no admission) must reproduce
-    // the batch sharding path's dispatch decisions exactly, so the whole win
-    // table — title, rows, wins — is byte-identical to replay, at every
-    // thread count and under both dispatch policies.
-    for dispatch in [FleetDispatch::RoundRobin, FleetDispatch::LeastLoaded] {
-        let scenario = cv_scenario(42, 1_500);
-        let replayed = run_classification_fleet_threaded(&scenario, 4, dispatch, 1)
-            .table
-            .render();
-        for threads in [1, 2, 8] {
-            let streamed = run_classification_fleet_streamed(&scenario, 4, dispatch, threads)
-                .table
-                .render();
-            assert_eq!(
-                replayed, streamed,
-                "streamed ingest diverged from trace replay ({dispatch}, {threads} threads)"
-            );
-        }
+fn traced_fleet_run_renders_the_same_table_as_untraced_at_another_thread_count() {
+    // Turning telemetry on must not perturb the simulation, whatever the
+    // thread count: a traced run on 2 workers and an untraced run on 8
+    // render the same table, for both fleet kinds.
+    let fleets: [(&str, FleetRunner); 2] = [
+        ("classification", classification_fleet),
+        ("generative", generative_fleet),
+    ];
+    for (kind, fleet) in fleets {
+        let telemetry = Telemetry::recording(TelemetryConfig::default());
+        let traced = fleet(2, &telemetry).table.render();
+        let snapshot = telemetry.snapshot().expect("recording sink");
+        assert!(
+            !snapshot.events.is_empty(),
+            "{kind}: the traced run must record events"
+        );
+        let untraced = fleet(8, &Telemetry::disabled()).table.render();
+        assert_eq!(
+            traced, untraced,
+            "{kind}: traced table diverged from the untraced run"
+        );
     }
-}
-
-#[test]
-fn streamed_generative_ingest_matches_request_replay_at_every_thread_count() {
-    // Decode-loop counterpart: whole sequences offered one at a time, each
-    // weighted by projected decode time, must shard exactly like the batch
-    // `shard_requests` path — byte-identical TPT tables at every thread count.
-    for dispatch in [FleetDispatch::RoundRobin, FleetDispatch::LeastLoaded] {
-        let scenario = generative_scenario(42, 48);
-        let replayed = run_generative_fleet_threaded(&scenario, 4, dispatch, 1)
-            .table
-            .render();
-        for threads in [1, 2, 8] {
-            let streamed = run_generative_fleet_streamed(&scenario, 4, dispatch, threads)
-                .table
-                .render();
-            assert_eq!(
-                replayed, streamed,
-                "streamed ingest diverged from request replay ({dispatch}, {threads} threads)"
-            );
-        }
-    }
-}
-
-#[test]
-fn traced_streamed_run_diff_matches_untraced_replay() {
-    // Turning telemetry on must not perturb the simulation, and streaming
-    // must not perturb it either: a traced replay run and an untraced
-    // streamed run of the same scenario render the same table.
-    let scenario = cv_scenario(42, 1_500);
-    let telemetry = Telemetry::recording(TelemetryConfig::default());
-    let traced = run_classification_fleet_traced(
-        &scenario,
-        4,
-        FleetDispatch::LeastLoaded,
-        scenario_config(),
-        &telemetry,
-        2,
-    )
-    .table
-    .render();
-    let streamed = run_classification_fleet_streamed(&scenario, 4, FleetDispatch::LeastLoaded, 8)
-        .table
-        .render();
-    assert_eq!(traced, streamed);
 }
 
 #[test]
@@ -171,16 +116,7 @@ fn coordination_bill_is_thread_count_invariant() {
     // The §4.5 overhead bill sums per-replica link charges; a thread-count
     // dependence here would mean controllers observed different profiling
     // streams under parallel execution.
-    let run = |threads: usize| {
-        run_classification_fleet_traced(
-            &cv_scenario(42, 1_500),
-            4,
-            FleetDispatch::LeastLoaded,
-            scenario_config(),
-            &Telemetry::disabled(),
-            threads,
-        )
-    };
+    let run = |threads: usize| classification_fleet(threads, &Telemetry::disabled());
     let sequential = run(1);
     let parallel = run(8);
     assert_eq!(sequential.shard_sizes, parallel.shard_sizes);

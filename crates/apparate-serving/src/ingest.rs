@@ -35,8 +35,8 @@
 //! ([`FeedbackReceiver::poll`] at the arrival's timestamp never surfaces
 //! in-flight messages). With admission disabled the session is a pure
 //! passthrough: forwarded times equal arrival times and the produced shards
-//! are byte-identical to the batch sharding path, which is what lets the
-//! determinism suite diff streamed ingest against trace replay.
+//! are byte-identical to the batch sharding path; this module's tests pin
+//! that equality.
 
 use std::collections::VecDeque;
 
@@ -464,17 +464,11 @@ impl IngestSession {
         self
     }
 
-    /// Offer one arrival with the session's default service estimate
-    /// (classification: every request costs one batch-1 pass).
+    /// Offer one arrival, charged the session's service estimate (every
+    /// request costs one batch-1 pass). Arrival times must be offered in
+    /// non-decreasing order.
     pub fn offer(&mut self, at: SimTime) -> AdmissionDecision {
-        self.offer_weighted(at, self.service_estimate)
-    }
-
-    /// Offer one arrival with an explicit service weight (generative: the
-    /// per-token estimate times the request's output length, mirroring
-    /// [`shard_requests`](crate::fleet::shard_requests)). Arrival times must
-    /// be offered in non-decreasing order.
-    pub fn offer_weighted(&mut self, at: SimTime, service: SimDuration) -> AdmissionDecision {
+        let service = self.service_estimate;
         let index = self.dispatcher.offered();
         // Delivered-only feedback refinement: poll at the arrival timestamp,
         // never beyond it. The charged link guarantees nothing in flight at

@@ -38,6 +38,7 @@ use apparate_serving::{
     ServingSimulator, VanillaTokenPolicy,
 };
 use apparate_sim::{DeterministicRng, SimDuration};
+use apparate_telemetry::Telemetry;
 use apparate_workload::{
     video_workload, GenerativeConfig, GenerativeTask, GenerativeWorkload, VideoConfig, Workload,
 };
@@ -503,13 +504,18 @@ fn e2e(ctx: &BenchContext) -> Vec<BenchReport> {
     };
     vec![
         ctx.bench(SUITE, "quick_run/cv", || {
-            run_scenarios(ctx.seed, sizes, ScenarioSelect::Cv)
+            run_scenarios(ctx.seed, sizes, ScenarioSelect::Cv, &Telemetry::disabled())
         }),
         ctx.bench(SUITE, "quick_run/nlp", || {
-            run_scenarios(ctx.seed, sizes, ScenarioSelect::Nlp)
+            run_scenarios(ctx.seed, sizes, ScenarioSelect::Nlp, &Telemetry::disabled())
         }),
         ctx.bench(SUITE, "quick_run/generative", || {
-            run_scenarios(ctx.seed, sizes, ScenarioSelect::Generative)
+            run_scenarios(
+                ctx.seed,
+                sizes,
+                ScenarioSelect::Generative,
+                &Telemetry::disabled(),
+            )
         }),
     ]
 }
@@ -614,7 +620,7 @@ fn scale(ctx: &BenchContext) -> Vec<BenchReport> {
     use apparate_experiments::{
         cv_scenario, generative_scenario, run_classification_fleet, run_generative_fleet,
     };
-    use apparate_serving::{shard_arrivals, FleetDispatch};
+    use apparate_serving::{available_threads, shard_arrivals, FleetDispatch};
 
     // The fleet fixture: the CV comparison scenario over a shared trace, one
     // warm-started Apparate controller per replica over its own charged link.
@@ -643,7 +649,13 @@ fn scale(ctx: &BenchContext) -> Vec<BenchReport> {
     for replicas in [1usize, 2, 4, 8] {
         reports.push(
             ctx.bench(SUITE, &format!("fleet_run/cv-apparate/x{replicas}"), || {
-                run_classification_fleet(&scenario, replicas, FleetDispatch::LeastLoaded)
+                run_classification_fleet(
+                    &scenario,
+                    replicas,
+                    FleetDispatch::LeastLoaded,
+                    available_threads(),
+                    &Telemetry::disabled(),
+                )
             }),
         );
     }
@@ -651,7 +663,15 @@ fn scale(ctx: &BenchContext) -> Vec<BenchReport> {
         reports.push(ctx.bench(
             SUITE,
             &format!("fleet_run/gen-apparate/x{replicas}"),
-            || run_generative_fleet(&generative, replicas, FleetDispatch::LeastLoaded),
+            || {
+                run_generative_fleet(
+                    &generative,
+                    replicas,
+                    FleetDispatch::LeastLoaded,
+                    available_threads(),
+                    &Telemetry::disabled(),
+                )
+            },
         ));
     }
     reports
@@ -665,7 +685,7 @@ fn telemetry(ctx: &BenchContext) -> Vec<BenchReport> {
     const SUITE: &str = "telemetry";
     use apparate_sim::SimTime;
     use apparate_telemetry::{
-        render_metrics_json_lines, render_trace_json_lines, EventKind, Telemetry, TelemetryConfig,
+        render_metrics_json_lines, render_trace_json_lines, EventKind, TelemetryConfig,
     };
 
     let n = ctx.scaled(4_096) as u64;

@@ -22,11 +22,12 @@ use apparate::baselines::deploy_budget_sites;
 use apparate::control::RampArchitecture;
 use apparate::exec::SemanticsModel;
 use apparate::experiments::{
-    generative_calibration, generative_requests, generative_scenario, run_generative_full,
+    generative_calibration, generative_requests, generative_scenario, run_generative_traced,
     scenario_config, ApparateTokenPolicy, OverheadTable, WorkloadTokens,
 };
 use apparate::serving::{GenerativeSimulator, StepOutcome, TokenPolicy, TokenSlot};
 use apparate::sim::{DeterministicRng, SimTime};
+use apparate::telemetry::Telemetry;
 
 /// One row of the adaptation trace.
 struct TraceRow {
@@ -203,7 +204,7 @@ fn main() {
     );
 
     // -- The paper-style comparison ----------------------------------------
-    let run = run_generative_full(&scenario);
+    let run = run_generative_traced(&scenario, &Telemetry::disabled());
     println!();
     print!("{}", run.table.render());
     let vanilla = run.table.row("vanilla").expect("vanilla row");

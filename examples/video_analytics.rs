@@ -20,8 +20,9 @@
 use apparate::experiments::{
     cv_scenario, run_classification_fleet, run_classification_full, OverheadTable,
 };
-use apparate::serving::FleetDispatch;
+use apparate::serving::{available_threads, FleetDispatch};
 use apparate::sim::Cdf;
+use apparate::telemetry::Telemetry;
 
 fn main() {
     let seed = 42;
@@ -102,7 +103,13 @@ fn main() {
     // provisioned. Each replica runs its own GPU-half/controller-half pair
     // over its own charged link.
     let fleet_scenario = cv_scenario(seed, frames).with_arrival_scale(6.0);
-    let fleet = run_classification_fleet(&fleet_scenario, 4, FleetDispatch::LeastLoaded);
+    let fleet = run_classification_fleet(
+        &fleet_scenario,
+        4,
+        FleetDispatch::LeastLoaded,
+        available_threads(),
+        &Telemetry::disabled(),
+    );
     println!();
     print!("{}", fleet.table.render());
     let fa = fleet.apparate();
