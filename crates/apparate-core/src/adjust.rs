@@ -15,10 +15,8 @@
 //!   before the best ramp (budget permitting) or shifts the worst ramp one
 //!   feasible position earlier.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-ramp utility over the last adjustment window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RampUtility {
     /// Total latency saved by requests that exited at this ramp (µs).
     pub savings_us: f64,
@@ -71,7 +69,7 @@ pub fn ramp_utilities(
 }
 
 /// What the adjustment round decided, for reporting and tests.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdjustAction {
     /// Negative ramps were removed and (optionally) a candidate was added.
     ReplacedNegative {
@@ -98,7 +96,7 @@ pub enum AdjustAction {
 }
 
 /// Outcome of one adjustment round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdjustDecision {
     /// The new active set, as sorted feasible-site indices.
     pub new_active: Vec<usize>,

@@ -7,10 +7,8 @@
 //! else (window sizes, step sizes, adjustment period) is an internal constant
 //! with the defaults given in §3.2–3.3.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of an Apparate deployment.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ApparateConfig {
     /// Maximum tolerated accuracy loss relative to the original model, as a
     /// fraction (0.01 = 1 %).

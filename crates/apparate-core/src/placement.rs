@@ -9,10 +9,9 @@
 use crate::config::ApparateConfig;
 use crate::ramp::{ramp_spec, RampArchitecture, RampSpec};
 use apparate_model::{LayerId, Stage, TaskKind, ZooModel};
-use serde::{Deserialize, Serialize};
 
 /// A candidate ramp position with its cost/capacity specification.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RampSite {
     /// The layer whose output the ramp reads.
     pub site: LayerId,
@@ -88,7 +87,7 @@ pub fn evenly_spaced(sites: &[RampSite], count: usize) -> Vec<RampSite> {
 
 /// The initial deployment configuration: evenly spaced ramps filling the
 /// budget, thresholds all zero.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InitialPlacement {
     /// Every feasible site (the adjustment search space).
     pub all_sites: Vec<RampSite>,

@@ -8,10 +8,9 @@
 //! the comparison experiments can run.
 
 use apparate_model::{LayerLatency, ModelDescriptor, ModelFamily, ZooModel};
-use serde::{Deserialize, Serialize};
 
 /// Ramp architecture styles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RampArchitecture {
     /// Apparate's default: lightweight pooling + the model's final FC layer
     /// (or, for generative models, direct reuse of the decoder head).
@@ -50,7 +49,7 @@ impl RampArchitecture {
 }
 
 /// A fully specified ramp: architecture, parameter count, memory and latency.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RampSpec {
     /// Architecture style.
     pub architecture: RampArchitecture,

@@ -23,10 +23,9 @@
 //! Figure 10 comparison.
 
 use crate::monitor::TuningWindow;
-use serde::{Deserialize, Serialize};
 
 /// Evaluation of one threshold configuration over a window of records.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfigEvaluation {
     /// Fraction of requests whose released result matches the original model.
     pub accuracy: f64,
@@ -117,7 +116,7 @@ fn mean_savings_from_counts(exit_counts: &[u64], savings_us: &[f64], n: f64) -> 
 }
 
 /// Result of a tuning run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TuningOutcome {
     /// The selected thresholds.
     pub thresholds: Vec<f64>,
@@ -128,7 +127,7 @@ pub struct TuningOutcome {
 }
 
 /// Parameters of the greedy search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GreedyParams {
     /// Maximum tolerated accuracy loss (e.g. 0.01).
     pub accuracy_loss_budget: f64,

@@ -16,10 +16,9 @@ use crate::placement::RampSite;
 use crate::ramp::RampArchitecture;
 use apparate_exec::RampPlacement;
 use apparate_model::{TaskKind, ZooModel};
-use serde::{Deserialize, Serialize};
 
 /// A ramp whose weights have been "trained": placement plus achieved capacity.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TrainedRamp {
     /// Where the ramp sits and what it costs.
     pub site: RampSite,
@@ -40,7 +39,7 @@ impl TrainedRamp {
 
 /// Summary of a training run, for reports and the preparation-phase
 /// experiments.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainingReport {
     /// Number of ramps trained.
     pub ramps: usize,

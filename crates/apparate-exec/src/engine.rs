@@ -19,7 +19,6 @@
 
 use crate::semantics::{RampObservation, SampleSemantics, SemanticsModel};
 use apparate_model::{LayerId, LayerLatency, ZooModel};
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Largest batch size whose timing table a plan memoises. Covers every
@@ -29,7 +28,7 @@ const MEMO_BATCHES: usize = 16;
 
 /// A ramp as seen by the execution engine: where it sits, what it costs, and
 /// how capable it is.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RampPlacement {
     /// The layer whose output the ramp consumes. Must be a feasible site.
     pub site: LayerId,

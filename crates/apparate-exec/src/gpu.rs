@@ -6,8 +6,6 @@
 //! against a device capacity so experiments can report that overhead and
 //! reject configurations that would not fit.
 
-use serde::{Deserialize, Serialize};
-
 /// Errors raised by memory accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GpuError {
@@ -40,7 +38,7 @@ impl std::fmt::Display for GpuError {
 impl std::error::Error for GpuError {}
 
 /// A single GPU with a fixed memory capacity and a relative speed factor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GpuDevice {
     /// Human-readable name (e.g. `"A6000"`).
     pub name: String,

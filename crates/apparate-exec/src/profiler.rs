@@ -9,24 +9,28 @@
 //! which is fixed PCIe latency.
 //!
 //! The simulation reproduces those costs so the overhead experiment can report
-//! them, and uses a real channel so the controller code is structured the same
-//! way it would be against a real GPU stream (producer/consumer, non-blocking
-//! for serving). Both directions are modelled with the same machinery: a
+//! them, and keeps the producer/consumer split of a real GPU stream: the
+//! serving loop sends without blocking and the controller polls. Both
+//! directions are modelled with the same machinery: a
 //! [`FeedbackSender`]/[`FeedbackReceiver`] pair generic over the
 //! [`WirePayload`] it carries, with [`ProfileRecord`] flowing GPU → controller
-//! and [`ThresholdUpdate`] flowing controller → GPU. Delivery is charged
-//! against the [`LinkCost`] model and takes effect only once the simulated
-//! transfer has completed, so consumers polling at time *t* can never act on
-//! messages still on the wire at *t*.
+//! and [`ThresholdUpdate`] flowing controller → GPU.
+//!
+//! One direction is one owned queue of in-flight `(deliver_at, seq, payload)`
+//! messages with the direction's [`LinkStats`] kept inline, behind a single
+//! `std::sync::Mutex` that every sender clone and the receiver share. A send
+//! charges the [`LinkCost`] model, bumps the stats and enqueues in one locked
+//! step; a poll at time *t* drains exactly the messages whose simulated
+//! transfer has completed by *t*, in `(deliver_at, seq)` order, so consumers
+//! can never act on messages still on the wire. A link lives inside one
+//! replica's sequential simulation; the lock only makes the handles `Send`
+//! for fleet runs that put each replica on its own thread.
 
 use crate::engine::RampPlacement;
 use crate::semantics::RampObservation;
 use apparate_sim::{SimDuration, SimTime};
 use apparate_telemetry::{EventKind, LinkDirection, Telemetry};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Anything that can be shipped across the link: it only needs to know its
 /// approximate serialised size so the transfer latency can be charged.
@@ -42,7 +46,7 @@ pub trait WirePayload {
 /// allocation however large the batch, which is what keeps the per-batch
 /// producer path and the controller's batched ingestion allocation-free per
 /// request.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProfileRecord {
     /// When the batch finished on the GPU.
     pub completed_at: SimTime,
@@ -65,7 +69,7 @@ pub struct ProfileRecord {
 }
 
 /// Release metadata for one request in a profiled batch.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RequestRelease {
     /// Request identifier.
     pub id: u64,
@@ -99,7 +103,7 @@ pub const RAMP_DEFINITION_BYTES: u64 = 10 * 1024;
 
 /// A controller → GPU configuration update: new per-ramp thresholds and,
 /// when the ramp set changed, the replacement ramp definitions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThresholdUpdate {
     /// When the controller issued the update.
     pub issued_at: SimTime,
@@ -125,7 +129,7 @@ impl WirePayload for ThresholdUpdate {
 }
 
 /// Cost model of the CPU↔GPU link.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LinkCost {
     /// Fixed per-message latency (PCIe round trip), µs.
     pub fixed_us: f64,
@@ -159,7 +163,7 @@ impl LinkCost {
 }
 
 /// Shared statistics about one direction of the feedback link.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct LinkStats {
     /// Messages sent.
     pub messages: u64,
@@ -181,7 +185,7 @@ impl LinkStats {
 }
 
 /// Both directions of a GPU ↔ controller link, for the §4.5 overhead table.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct OverheadReport {
     /// GPU → controller profiling stream.
     pub uplink: LinkStats,
@@ -220,24 +224,30 @@ impl OverheadReport {
 /// deterministic delivery order), and the payload.
 type InFlight<T> = (SimTime, u64, T);
 
+/// One link direction as both halves see it: the messages still on the wire
+/// and the direction's running statistics, behind one lock so a send charges
+/// and enqueues in a single step.
+#[derive(Debug)]
+struct Wire<T> {
+    in_flight: Vec<InFlight<T>>,
+    stats: LinkStats,
+}
+
 /// The producer half of one link direction.
 #[derive(Debug)]
 pub struct FeedbackSender<T> {
-    tx: Sender<InFlight<T>>,
+    wire: Arc<Mutex<Wire<T>>>,
     cost: LinkCost,
-    stats: Arc<Mutex<LinkStats>>,
     telemetry: Telemetry,
     direction: LinkDirection,
 }
 
-// Manual impl: `std::sync::mpsc::Sender` (the offline crossbeam stand-in) is
-// Clone, but deriving would also bound `T: Clone`, which senders don't need.
+// Manual impl: deriving would also bound `T: Clone`, which senders don't need.
 impl<T> Clone for FeedbackSender<T> {
     fn clone(&self) -> Self {
         FeedbackSender {
-            tx: self.tx.clone(),
+            wire: Arc::clone(&self.wire),
             cost: self.cost,
-            stats: Arc::clone(&self.stats),
             telemetry: self.telemetry.clone(),
             direction: self.direction,
         }
@@ -247,30 +257,23 @@ impl<T> Clone for FeedbackSender<T> {
 /// The consumer half of one link direction.
 #[derive(Debug)]
 pub struct FeedbackReceiver<T> {
-    rx: Receiver<InFlight<T>>,
-    stats: Arc<Mutex<LinkStats>>,
-    /// Messages received from the channel but whose simulated delivery time
-    /// has not yet been reached.
-    pending: Vec<InFlight<T>>,
+    wire: Arc<Mutex<Wire<T>>>,
 }
 
 /// Create one direction of a feedback link with the given cost model.
 pub fn feedback_link<T: WirePayload>(cost: LinkCost) -> (FeedbackSender<T>, FeedbackReceiver<T>) {
-    let (tx, rx) = unbounded();
-    let stats = Arc::new(Mutex::new(LinkStats::default()));
+    let wire = Arc::new(Mutex::new(Wire {
+        in_flight: Vec::new(),
+        stats: LinkStats::default(),
+    }));
     (
         FeedbackSender {
-            tx,
+            wire: Arc::clone(&wire),
             cost,
-            stats: Arc::clone(&stats),
             telemetry: Telemetry::disabled(),
             direction: LinkDirection::Up,
         },
-        FeedbackReceiver {
-            rx,
-            stats,
-            pending: Vec::new(),
-        },
+        FeedbackReceiver { wire },
     )
 }
 
@@ -282,13 +285,14 @@ impl<T: WirePayload> FeedbackSender<T> {
         let wire_bytes = payload.wire_bytes();
         let latency = self.cost.transfer_latency(wire_bytes);
         let deliver_at = sent_at + latency;
-        let seq = {
-            let mut stats = self.stats.lock();
-            stats.messages += 1;
-            stats.bytes += wire_bytes;
-            stats.total_latency += latency;
-            stats.messages
-        };
+        {
+            let mut wire = self.wire.lock().expect("mutex poisoned");
+            wire.stats.messages += 1;
+            wire.stats.bytes += wire_bytes;
+            wire.stats.total_latency += latency;
+            let seq = wire.stats.messages;
+            wire.in_flight.push((deliver_at, seq, payload));
+        }
         if self.telemetry.is_enabled() {
             let direction = self.direction;
             self.telemetry.emit(sent_at, || EventKind::LinkMessage {
@@ -303,9 +307,6 @@ impl<T: WirePayload> FeedbackSender<T> {
             self.telemetry.counter(messages, 1);
             self.telemetry.counter(bytes, wire_bytes);
         }
-        // The receiver may have been dropped (e.g. controller shut down); the
-        // producer must not care.
-        let _ = self.tx.send((deliver_at, seq, payload));
         deliver_at
     }
 
@@ -325,39 +326,37 @@ impl<T: WirePayload> FeedbackSender<T> {
 
     /// Snapshot of this direction's statistics.
     pub fn stats(&self) -> LinkStats {
-        self.stats.lock().clone()
+        self.wire.lock().expect("mutex poisoned").stats.clone()
     }
 }
 
 impl<T> FeedbackReceiver<T> {
     /// Drain every message that has been *delivered* by `now` (transfer
-    /// latency already accounted for). Messages still "in flight" stay queued.
+    /// latency already accounted for). Messages still "in flight" stay on
+    /// the wire.
     ///
     /// Delivery order is deterministic: ready messages are returned sorted by
     /// `(deliver_at, send sequence)`, so a message that was sent later but
     /// (being smaller) landed earlier is delivered first, and simultaneous
-    /// deliveries keep their send order regardless of how the channel
-    /// interleaved with earlier `poll` calls.
+    /// deliveries keep their send order regardless of how sends interleaved
+    /// with earlier `poll` calls.
     pub fn poll(&mut self, now: SimTime) -> Vec<T> {
-        while let Ok(item) = self.rx.try_recv() {
-            // crossbeam channels have no peek, so not-yet-delivered messages
-            // are conceptually still on the wire and kept locally.
-            self.pending.push(item);
-        }
-        // Partition in place: ready messages move to the tail of `pending`
+        let mut wire = self.wire.lock().expect("mutex poisoned");
+        let in_flight = &mut wire.in_flight;
+        // Partition in place: ready messages move to the tail of the wire
         // (internal order is irrelevant — delivery order is imposed by the
         // sort below), so the only allocation per poll is the returned batch.
-        let mut split = self.pending.len();
+        let mut split = in_flight.len();
         let mut i = 0;
         while i < split {
-            if self.pending[i].0 <= now {
+            if in_flight[i].0 <= now {
                 split -= 1;
-                self.pending.swap(i, split);
+                in_flight.swap(i, split);
             } else {
                 i += 1;
             }
         }
-        let ready = &mut self.pending[split..];
+        let ready = &mut in_flight[split..];
         ready.sort_by_key(|(deliver_at, seq, _)| (*deliver_at, *seq));
         // Runtime counterpart of the static ordering rules (apparate-lint
         // W001): everything handed out is actually delivered by `now`, and
@@ -374,21 +373,20 @@ impl<T> FeedbackReceiver<T> {
                 .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
             "feedback delivery is not strictly ordered by (deliver_at, seq)"
         );
-        self.pending
+        in_flight
             .drain(split..)
             .map(|(_, _, payload)| payload)
             .collect()
     }
 
-    /// Number of messages waiting on the wire (received from the channel but
-    /// not yet delivered).
+    /// Number of messages sent but not yet delivered (still on the wire).
     pub fn in_flight(&self) -> usize {
-        self.pending.len()
+        self.wire.lock().expect("mutex poisoned").in_flight.len()
     }
 
     /// Snapshot of this direction's statistics.
     pub fn stats(&self) -> LinkStats {
-        self.stats.lock().clone()
+        self.wire.lock().expect("mutex poisoned").stats.clone()
     }
 }
 
@@ -594,5 +592,47 @@ mod tests {
         let got = rx.poll(SimTime::from_millis(7));
         let sizes: Vec<u32> = got.iter().map(|r| r.batch_size).collect();
         assert_eq!(sizes, vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn cloned_senders_share_one_ordered_wire_and_one_set_of_stats() {
+        // 1 ms fixed + 1 ms per KiB: a record's landing time grows with its
+        // batch size, so sends from the two clones interleave on the wire.
+        let (a, mut rx) = feedback_link(LinkCost {
+            fixed_us: 1_000.0,
+            per_kib_us: 1_000.0,
+        });
+        let b = a.clone();
+        let mut landings = Vec::new();
+        for (i, (sender, batch)) in [(&a, 64), (&b, 1), (&a, 1), (&b, 32), (&a, 8), (&b, 1)]
+            .into_iter()
+            .enumerate()
+        {
+            let deliver_at = sender.send(record(10, batch), SimTime::from_millis(10));
+            landings.push((deliver_at, i as u64 + 1, batch));
+        }
+        landings.sort();
+        let (cutoff, _, _) = landings[3];
+        let got: Vec<u32> = rx.poll(cutoff).iter().map(|r| r.batch_size).collect();
+        let expected: Vec<u32> = landings
+            .iter()
+            .filter(|(at, _, _)| *at <= cutoff)
+            .map(|&(_, _, batch)| batch)
+            .collect();
+        assert_eq!(got, expected, "delivery follows (deliver_at, seq)");
+        assert_eq!(rx.in_flight(), landings.len() - got.len());
+        assert!(
+            rx.in_flight() > 0,
+            "the largest records are still on the wire"
+        );
+        let stats = rx.stats();
+        assert_eq!(stats.messages, 6);
+        for sender in [&a, &b] {
+            let s = sender.stats();
+            assert_eq!(
+                (s.messages, s.bytes, s.total_latency),
+                (stats.messages, stats.bytes, stats.total_latency)
+            );
+        }
     }
 }

@@ -26,11 +26,10 @@
 //! which is what produces the paper's CV-vs-NLP win gap.
 
 use apparate_sim::DeterministicRng;
-use serde::{Deserialize, Serialize};
 
 /// Semantic description of one input (or one generated token), produced by
 /// the workload generators.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleSemantics {
     /// Stable identifier used to key deterministic draws.
     pub seed: u64,
@@ -53,7 +52,7 @@ impl SampleSemantics {
 /// What a ramp reports for one input: the paper streams exactly this pair from
 /// the GPU to the controller ("simply a top-predicted result with an error
 /// score", §4.5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RampObservation {
     /// Prediction-uncertainty score in `[0, 1]`; an input exits iff
     /// `entropy <= threshold`. Threshold 0 therefore disables exiting.

@@ -74,8 +74,7 @@ fn workspace_root(opts: &Options) -> PathBuf {
     PathBuf::from(".")
 }
 
-/// Minimal JSON string escaping (the workspace serde is an offline stub; see
-/// `crates/compat/serde`).
+/// Minimal JSON string escaping (the code uses no serialisation crate).
 fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

@@ -27,7 +27,7 @@ use crate::lexer::Token;
 pub struct FileCtx<'a> {
     /// Repo-relative path, forward slashes.
     pub path: &'a str,
-    /// Owning crate (`apparate-core`, `bench`, `compat/serde`, or
+    /// Owning crate (`apparate-core`, `bench`, `compat/rand`, or
     /// `apparate` for the root facade and its examples).
     pub crate_name: &'a str,
     /// True for the offline registry stand-ins under `crates/compat/`, which

@@ -13,7 +13,7 @@ pub struct SourceFile {
     pub path: PathBuf,
     /// Repo-relative path with forward slashes (diagnostic anchor).
     pub rel: String,
-    /// Owning crate: `apparate-core`, `bench`, `compat/serde`, or
+    /// Owning crate: `apparate-core`, `bench`, `compat/rand`, or
     /// `apparate` for the root facade (`src/`, `examples/`).
     pub crate_name: String,
     /// True for `crates/compat/*` registry stand-ins.
@@ -88,8 +88,8 @@ mod tests {
             ("apparate-core".to_string(), false)
         );
         assert_eq!(
-            classify("crates/compat/serde/src/lib.rs"),
-            ("compat/serde".to_string(), true)
+            classify("crates/compat/rand/src/lib.rs"),
+            ("compat/rand".to_string(), true)
         );
         assert_eq!(classify("src/lib.rs"), ("apparate".to_string(), false));
         assert_eq!(

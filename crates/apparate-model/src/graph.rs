@@ -9,7 +9,6 @@
 //! layer of VGG, never inside a residual block).
 
 use crate::layer::{Layer, LayerId, LayerKind, Stage};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Errors raised when constructing or validating a model graph.
@@ -48,7 +47,7 @@ impl std::fmt::Display for GraphError {
 impl std::error::Error for GraphError {}
 
 /// A validated DAG of model layers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelGraph {
     layers: Vec<Layer>,
     edges: Vec<(LayerId, LayerId)>,

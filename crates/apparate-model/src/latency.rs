@@ -16,10 +16,9 @@
 
 use crate::graph::ModelGraph;
 use crate::layer::LayerKind;
-use serde::{Deserialize, Serialize};
 
 /// Latency model of a single layer.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LayerLatency {
     /// Batch-independent cost in microseconds (kernel launch, weight load).
     pub fixed_us: f64,
@@ -50,7 +49,7 @@ impl LayerLatency {
 /// Latency model for an entire graph: one [`LayerLatency`] per layer, stored
 /// in **topological order**, plus prefix sums for "run up to position k"
 /// queries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelLatency {
     /// Per-layer latency in topological order.
     per_layer: Vec<LayerLatency>,
@@ -132,7 +131,7 @@ impl ModelLatency {
 ///
 /// The paper notes that "latency arises early in CV models, but more evenly
 /// across coding blocks in transformers" (§3.3) — front-loaded vs. uniform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ComputeShape {
     /// Early layers dominate (CV convolution pyramids on large feature maps).
     FrontLoaded {

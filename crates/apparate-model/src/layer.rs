@@ -5,16 +5,13 @@
 //! computation (which operators exist, how data flows between them) and
 //! per-operator cost metadata. [`Layer`] captures exactly that.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a layer within a [`crate::ModelGraph`].
 ///
 /// Layer ids are dense indices; the zoo constructs graphs so that ids are
 /// already in topological order, but the graph code never assumes this.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LayerId(pub usize);
 
 impl fmt::Display for LayerId {
@@ -30,7 +27,7 @@ impl fmt::Display for LayerId {
 /// matter for ramp-architecture selection (§3.1) and for the latency model
 /// (convolutions dominate early in CV models, attention/FFN dominate evenly in
 /// transformers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// 2-D convolution.
     Conv,
@@ -78,7 +75,7 @@ impl LayerKind {
 /// Pipeline stage a layer belongs to; relevant for encoder-decoder models
 /// where ramps are only injected into decoding (§3.1: "only for decoding
 /// phases").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Stage {
     /// Single-stage models (all classification models).
     #[default]
@@ -90,7 +87,7 @@ pub enum Stage {
 }
 
 /// One operator in the model graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Layer {
     /// Dense identifier within the graph.
     pub id: LayerId,

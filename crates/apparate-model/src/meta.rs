@@ -7,10 +7,8 @@
 //! intuition is that models are often overparameterized ... and 'easy' inputs
 //! may not require complete model processing").
 
-use serde::{Deserialize, Serialize};
-
 /// Model family, used for family-specific ramp and latency heuristics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelFamily {
     /// Residual CNNs (ResNet-18/50/101).
     ResNet,
@@ -39,7 +37,7 @@ impl ModelFamily {
 }
 
 /// The inference task a model serves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// Single-shot classification (CV object classification, NLP sentiment).
     Classification,
@@ -48,7 +46,7 @@ pub enum TaskKind {
 }
 
 /// Static description of a zoo model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelDescriptor {
     /// Canonical name, e.g. `"resnet50"`.
     pub name: String,

@@ -13,10 +13,9 @@ use crate::graph::ModelGraph;
 use crate::latency::{synthesize_latency, ComputeShape, ModelLatency};
 use crate::layer::{Layer, LayerId, LayerKind, Stage};
 use crate::meta::{ModelDescriptor, ModelFamily, TaskKind};
-use serde::{Deserialize, Serialize};
 
 /// A fully assembled zoo model: graph + latency + metadata.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ZooModel {
     /// Static metadata.
     pub descriptor: ModelDescriptor,

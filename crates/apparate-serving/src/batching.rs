@@ -15,7 +15,6 @@
 
 use crate::request::Request;
 use apparate_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// What the policy wants the platform to do right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +29,7 @@ pub enum BatchDecision {
 }
 
 /// A batching policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BatchingPolicy {
     /// TensorFlow-Serving style `max_batch_size` / `batch_timeout` knobs.
     TfServe {

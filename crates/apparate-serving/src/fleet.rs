@@ -5,8 +5,9 @@
 //! carrying its own GPU + controller pair over its own coordination link.
 //! This module provides the platform half of that story:
 //!
-//! * [`FleetDispatch`] — how the front-end assigns arrivals to replicas
-//!   (round-robin, or least-loaded via a virtual-backlog estimate);
+//! * [`FleetDispatch`] / [`IncrementalDispatcher`] — how the front-end
+//!   assigns arrivals to replicas (round-robin, or least-loaded via a
+//!   virtual-backlog estimate), one arrival at a time;
 //! * [`shard_arrivals`] / [`TraceShard`] — deterministic sharding of one
 //!   shared [`ArrivalTrace`] into per-replica sub-traces that preserve
 //!   absolute arrival times (replicas run in parallel wall-clock time);
@@ -21,7 +22,7 @@
 //!
 //! Replicas are independent discrete-event simulations over disjoint shards,
 //! so a [`FleetRun`] executes them on real scoped threads
-//! (`crossbeam::thread::scope`) and still produces *byte-identical* merged
+//! (`std::thread::scope`) and still produces *byte-identical* merged
 //! output for any thread count: each replica records telemetry through its
 //! own [`Telemetry::for_replica`] handle into a per-replica buffer, results
 //! are joined and re-ordered by replica index, and the telemetry snapshot
@@ -51,7 +52,7 @@ use crate::platform::{ExitPolicy, ServingConfig, ServingOutcome, ServingSimulato
 use crate::request::Request;
 use crate::traces::ArrivalTrace;
 use apparate_exec::{FeedbackSender, ProfileRecord, SampleSemantics};
-use apparate_sim::{Percentiles, SimDuration};
+use apparate_sim::{Percentiles, SimDuration, SimTime};
 use apparate_telemetry::Telemetry;
 
 /// How the front-end dispatcher assigns arrivals to replicas.
@@ -85,6 +86,78 @@ impl std::fmt::Display for FleetDispatch {
             FleetDispatch::RoundRobin => "round-robin",
             FleetDispatch::LeastLoaded => "least-loaded",
         })
+    }
+}
+
+/// The front end's dispatch rule, one decision per offered arrival: the batch
+/// sharders ([`shard_arrivals`], [`shard_requests`]) and the streaming
+/// [`IngestSession`](crate::ingest::IngestSession) all route through it.
+///
+/// [`FleetDispatch::RoundRobin`] assigns offered arrival `i` to replica
+/// `i % replicas` — the cursor advances for *every* offered arrival, admitted
+/// or shed, so the assignment follows stream position. For
+/// [`FleetDispatch::LeastLoaded`] the dispatcher models each replica as a
+/// single-server queue and picks the replica whose virtual backlog drains
+/// first (ties toward the lowest index); the backlog is charged only when the
+/// arrival is actually [committed](IncrementalDispatcher::commit) as admitted,
+/// because a shed request never reaches the replica.
+#[derive(Debug, Clone)]
+pub struct IncrementalDispatcher {
+    replicas: usize,
+    dispatch: FleetDispatch,
+    offered: usize,
+    backlog: Vec<SimTime>,
+}
+
+impl IncrementalDispatcher {
+    /// Create a dispatcher over `replicas` replicas. Panics on zero replicas.
+    pub fn new(replicas: usize, dispatch: FleetDispatch) -> IncrementalDispatcher {
+        assert!(replicas >= 1, "a fleet needs at least one replica");
+        IncrementalDispatcher {
+            replicas,
+            dispatch,
+            offered: 0,
+            backlog: vec![SimTime::ZERO; replicas],
+        }
+    }
+
+    /// Number of replicas dispatched across.
+    pub fn replicas(&self) -> usize {
+        self.replicas
+    }
+
+    /// Arrivals offered so far (admitted and shed).
+    pub fn offered(&self) -> usize {
+        self.offered
+    }
+
+    /// The modelled virtual backlog (finish time) of one replica.
+    pub fn backlog(&self, replica: usize) -> SimTime {
+        self.backlog[replica]
+    }
+
+    /// The replica the *next* offered arrival would be routed to, without
+    /// committing anything: `offered % replicas` for round-robin, the
+    /// smallest-backlog replica (ties toward the lowest index) for
+    /// least-loaded.
+    pub fn select(&self) -> usize {
+        match self.dispatch {
+            FleetDispatch::RoundRobin => self.offered % self.replicas,
+            FleetDispatch::LeastLoaded => (0..self.replicas)
+                .min_by_key(|&r| (self.backlog[r], r))
+                .expect("replicas >= 1"),
+        }
+    }
+
+    /// Commit the arrival just [selected](IncrementalDispatcher::select):
+    /// advance the round-robin cursor and, when the arrival was admitted,
+    /// charge the replica's modelled backlog by `service`
+    /// (`backlog = max(backlog, at) + service`).
+    pub fn commit(&mut self, replica: usize, at: SimTime, service: SimDuration, admitted: bool) {
+        self.offered += 1;
+        if admitted {
+            self.backlog[replica] = self.backlog[replica].max(at) + service;
+        }
     }
 }
 
@@ -124,25 +197,12 @@ pub fn shard_arrivals(
     dispatch: FleetDispatch,
     service_estimate: SimDuration,
 ) -> Vec<TraceShard> {
-    assert!(replicas >= 1, "a fleet needs at least one replica");
-    let mut times: Vec<Vec<apparate_sim::SimTime>> = vec![Vec::new(); replicas];
+    let mut dispatcher = IncrementalDispatcher::new(replicas, dispatch);
+    let mut times: Vec<Vec<SimTime>> = vec![Vec::new(); replicas];
     let mut indices: Vec<Vec<usize>> = vec![Vec::new(); replicas];
-    // Virtual finish time of each replica's modelled backlog (LeastLoaded).
-    let mut backlog = vec![apparate_sim::SimTime::ZERO; replicas];
     for (i, &at) in trace.times().iter().enumerate() {
-        let r = match dispatch {
-            FleetDispatch::RoundRobin => i % replicas,
-            FleetDispatch::LeastLoaded => {
-                // The replica whose modelled backlog drains first; ties break
-                // toward the lowest index, keeping the assignment total-order
-                // deterministic.
-                let r = (0..replicas)
-                    .min_by_key(|&r| (backlog[r], r))
-                    .expect("replicas >= 1");
-                backlog[r] = backlog[r].max(at) + service_estimate;
-                r
-            }
-        };
+        let r = dispatcher.select();
+        dispatcher.commit(r, at, service_estimate, true);
         times[r].push(at);
         indices[r].push(i);
     }
@@ -332,12 +392,12 @@ impl<U, F> FleetRun<U, F> {
             for (r, unit) in self.units.into_iter().enumerate() {
                 buckets[r % threads].push((r, unit));
             }
-            let mut indexed: Vec<(usize, O)> = crossbeam::thread::scope(|s| {
+            let mut indexed: Vec<(usize, O)> = std::thread::scope(|s| {
                 let handles: Vec<_> = buckets
                     .into_iter()
                     .map(|bucket| {
                         let telemetry = telemetry.clone();
-                        s.spawn(move |_| {
+                        s.spawn(move || {
                             bucket
                                 .into_iter()
                                 .map(|(r, unit)| {
@@ -354,8 +414,7 @@ impl<U, F> FleetRun<U, F> {
                             .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
                     })
                     .collect()
-            })
-            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            });
             indexed.sort_by_key(|&(r, _)| r);
             indexed.into_iter().map(|(_, outcome)| outcome).collect()
         };
@@ -755,28 +814,19 @@ pub fn shard_requests(
     dispatch: FleetDispatch,
     per_token_estimate: SimDuration,
 ) -> Vec<RequestShard> {
-    assert!(replicas >= 1, "a fleet needs at least one replica");
+    let mut dispatcher = IncrementalDispatcher::new(replicas, dispatch);
     let mut shards: Vec<RequestShard> = (0..replicas)
         .map(|_| RequestShard {
             requests: Vec::new(),
             indices: Vec::new(),
         })
         .collect();
-    let mut backlog = vec![apparate_sim::SimTime::ZERO; replicas];
     for (i, request) in requests.iter().enumerate() {
-        let r = match dispatch {
-            FleetDispatch::RoundRobin => i % replicas,
-            FleetDispatch::LeastLoaded => {
-                let r = (0..replicas)
-                    .min_by_key(|&r| (backlog[r], r))
-                    .expect("replicas >= 1");
-                let service = SimDuration::from_micros_f64(
-                    per_token_estimate.as_micros() as f64 * request.output_tokens.max(1) as f64,
-                );
-                backlog[r] = backlog[r].max(request.arrival) + service;
-                r
-            }
-        };
+        let service = SimDuration::from_micros_f64(
+            per_token_estimate.as_micros() as f64 * request.output_tokens.max(1) as f64,
+        );
+        let r = dispatcher.select();
+        dispatcher.commit(r, request.arrival, service, true);
         shards[r].requests.push(request.clone());
         shards[r].indices.push(i);
     }

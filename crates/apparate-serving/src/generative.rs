@@ -16,7 +16,6 @@ use crate::request::Request;
 use apparate_exec::{FeedbackSender, LinkStats, ProfileRecord, SampleSemantics};
 use apparate_sim::{SimDuration, SimTime};
 use apparate_telemetry::{EventKind, Telemetry};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// One sequence's slot in a decode step.
@@ -122,7 +121,7 @@ where
 }
 
 /// Record of one emitted token.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TokenRecord {
     /// Owning request.
     pub request_id: u64,
@@ -143,7 +142,7 @@ pub struct TokenRecord {
 }
 
 /// Aggregate result of one generative serving run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GenerativeOutcome {
     /// Every emitted token.
     pub tokens: Vec<TokenRecord>,
@@ -212,7 +211,7 @@ impl GenerativeOutcome {
 }
 
 /// Configuration of the continuous-batching loop.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ContinuousBatchingConfig {
     /// Maximum number of sequences decoded together.
     pub max_batch_size: u32,

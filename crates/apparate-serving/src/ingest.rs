@@ -6,12 +6,11 @@
 //! overload it must decide *per arrival* whether to admit, pace or shed —
 //! before knowing anything about the future. This module is that front end:
 //!
-//! * [`IncrementalDispatcher`] — the one-event-at-a-time counterpart of
-//!   [`shard_arrivals`](crate::fleet::shard_arrivals) /
-//!   [`shard_requests`](crate::fleet::shard_requests). On the same arrival
-//!   prefix it makes *exactly* the batch path's round-robin / least-loaded
-//!   decisions (same formulas, same tie-breaks), so trace replay and
-//!   streamed ingest of the same events agree replica-for-replica.
+//! * [`IncrementalDispatcher`] — the fleet's one dispatch rule, which the
+//!   batch sharders [`shard_arrivals`](crate::fleet::shard_arrivals) /
+//!   [`shard_requests`](crate::fleet::shard_requests) also loop over, so
+//!   trace replay and streamed ingest of the same events agree
+//!   replica-for-replica.
 //! * [`AdmissionController`] — a rate-slew loop in the bark `RateAdjust`
 //!   idiom: start/stop hysteresis thresholds on the observed queueing delay
 //!   vs. the SLO headroom, a cubic proportional gain, and a hard ±1 % clamp
@@ -29,21 +28,17 @@
 //!   (`admission` trace events, `admission_queue_depth` / `admission_pace_ppm`
 //!   gauges, `ingest_admitted` / `ingest_shed` counters).
 //!
-//! The session is deliberately causal: decisions use only the arrival prefix,
-//! the front end's own queue model, and — when a feedback receiver is
-//! attached — [`ProfileRecord`]s **already delivered** over the charged link
-//! ([`FeedbackReceiver::poll`] at the arrival's timestamp never surfaces
-//! in-flight messages). With admission disabled the session is a pure
+//! The session is deliberately causal: decisions use only the arrival prefix
+//! and the front end's own queue model, charged with the static per-request
+//! service estimate. With admission disabled the session is a pure
 //! passthrough: forwarded times equal arrival times and the produced shards
 //! are byte-identical to the batch sharding path; this module's tests pin
 //! that equality.
 
 use std::collections::VecDeque;
 
-use crate::fleet::FleetDispatch;
-use crate::fleet::TraceShard;
+use crate::fleet::{FleetDispatch, IncrementalDispatcher, TraceShard};
 use crate::traces::ArrivalTrace;
-use apparate_exec::{FeedbackReceiver, ProfileRecord};
 use apparate_sim::{SimDuration, SimTime};
 use apparate_telemetry::{EventKind, Telemetry};
 
@@ -53,78 +48,6 @@ pub const PACE_BASE_PPM: u64 = 1_000_000;
 pub const PACE_MIN_PPM: u64 = PACE_BASE_PPM / 100 * 99;
 /// Upper pacing clamp: one percent above base (bark's `rate * 101 / 100`).
 pub const PACE_MAX_PPM: u64 = PACE_BASE_PPM / 100 * 101;
-
-/// The incremental counterpart of the batch sharding path: one dispatch
-/// decision per offered arrival, with the batch formulas reproduced exactly.
-///
-/// [`FleetDispatch::RoundRobin`] assigns offered arrival `i` to replica
-/// `i % replicas` — the cursor advances for *every* offered arrival, admitted
-/// or shed, because the batch path indexes by stream position. For
-/// [`FleetDispatch::LeastLoaded`] the dispatcher models each replica as a
-/// single-server queue and picks the replica whose virtual backlog drains
-/// first (ties toward the lowest index); the backlog is charged only when the
-/// arrival is actually [committed](IncrementalDispatcher::commit) as admitted,
-/// because a shed request never reaches the replica.
-#[derive(Debug, Clone)]
-pub struct IncrementalDispatcher {
-    replicas: usize,
-    dispatch: FleetDispatch,
-    offered: usize,
-    backlog: Vec<SimTime>,
-}
-
-impl IncrementalDispatcher {
-    /// Create a dispatcher over `replicas` replicas. Panics on zero replicas.
-    pub fn new(replicas: usize, dispatch: FleetDispatch) -> IncrementalDispatcher {
-        assert!(replicas >= 1, "a fleet needs at least one replica");
-        IncrementalDispatcher {
-            replicas,
-            dispatch,
-            offered: 0,
-            backlog: vec![SimTime::ZERO; replicas],
-        }
-    }
-
-    /// Number of replicas dispatched across.
-    pub fn replicas(&self) -> usize {
-        self.replicas
-    }
-
-    /// Arrivals offered so far (admitted and shed).
-    pub fn offered(&self) -> usize {
-        self.offered
-    }
-
-    /// The modelled virtual backlog (finish time) of one replica.
-    pub fn backlog(&self, replica: usize) -> SimTime {
-        self.backlog[replica]
-    }
-
-    /// The replica the *next* offered arrival would be routed to, without
-    /// committing anything. Matches `shard_arrivals` / `shard_requests` on
-    /// the same prefix: `offered % replicas` for round-robin, the
-    /// smallest-backlog replica (ties toward the lowest index) for
-    /// least-loaded.
-    pub fn select(&self) -> usize {
-        match self.dispatch {
-            FleetDispatch::RoundRobin => self.offered % self.replicas,
-            FleetDispatch::LeastLoaded => (0..self.replicas)
-                .min_by_key(|&r| (self.backlog[r], r))
-                .expect("replicas >= 1"),
-        }
-    }
-
-    /// Commit the arrival just [selected](IncrementalDispatcher::select):
-    /// advance the round-robin cursor and, when the arrival was admitted,
-    /// charge the replica's modelled backlog by `service` exactly the way the
-    /// batch path does (`backlog = max(backlog, at) + service`).
-    pub fn commit(&mut self, replica: usize, at: SimTime, service: SimDuration, admitted: bool) {
-        self.offered += 1;
-        if admitted {
-            self.backlog[replica] = self.backlog[replica].max(at) + service;
-        }
-    }
-}
 
 /// The bark `RateAdjust` slew loop, transplanted from audio-clock offsets to
 /// queueing-delay offsets: hysteresis start/stop thresholds, a cubic
@@ -375,9 +298,6 @@ struct AdmissionState {
     queues: Vec<VecDeque<SimTime>>,
     prev_at: Option<SimTime>,
     prev_fwd: SimTime,
-    /// Delivered-feedback refinement of the per-request service estimate, µs.
-    refined_service_us: Option<f64>,
-    last_completed: Option<SimTime>,
 }
 
 /// A streaming front end over one shared arrival stream: consumes arrivals
@@ -388,7 +308,6 @@ pub struct IngestSession {
     dispatcher: IncrementalDispatcher,
     service_estimate: SimDuration,
     admission: Option<AdmissionState>,
-    feedback: Option<FeedbackReceiver<ProfileRecord>>,
     times: Vec<Vec<SimTime>>,
     indices: Vec<Vec<usize>>,
     decisions: Vec<AdmissionDecision>,
@@ -413,7 +332,6 @@ impl IngestSession {
             dispatcher: IncrementalDispatcher::new(replicas, dispatch),
             service_estimate,
             admission: None,
-            feedback: None,
             times: vec![Vec::new(); replicas],
             indices: vec![Vec::new(); replicas],
             decisions: Vec::new(),
@@ -433,22 +351,7 @@ impl IngestSession {
             queues: (0..replicas).map(|_| VecDeque::new()).collect(),
             prev_at: None,
             prev_fwd: SimTime::ZERO,
-            refined_service_us: None,
-            last_completed: None,
         });
-        self
-    }
-
-    /// Attach the consumer half of a charged profiling link. Before each
-    /// decision the session polls it *at the arrival's timestamp*, so only
-    /// records whose simulated transfer has completed can refine the service
-    /// estimate — the front end can never peek at in-flight telemetry. The
-    /// refinement (an EWMA over the per-request completion cadence of
-    /// delivered [`ProfileRecord`]s) feeds the controller's SLO headroom only;
-    /// the dispatcher's backlog model keeps the static estimate, matching
-    /// what a front end knows about the model a priori.
-    pub fn with_feedback(mut self, feedback: FeedbackReceiver<ProfileRecord>) -> IngestSession {
-        self.feedback = Some(feedback);
         self
     }
 
@@ -470,27 +373,6 @@ impl IngestSession {
     pub fn offer(&mut self, at: SimTime) -> AdmissionDecision {
         let service = self.service_estimate;
         let index = self.dispatcher.offered();
-        // Delivered-only feedback refinement: poll at the arrival timestamp,
-        // never beyond it. The charged link guarantees nothing in flight at
-        // `at` is surfaced.
-        if let Some(rx) = &mut self.feedback {
-            let delivered = rx.poll(at);
-            if let Some(admission) = &mut self.admission {
-                for record in &delivered {
-                    if let Some(prev_completed) = admission.last_completed {
-                        let gap = record.completed_at.saturating_since(prev_completed);
-                        let per_request_us =
-                            gap.as_micros() as f64 / record.batch_size.max(1) as f64;
-                        admission.refined_service_us = Some(match admission.refined_service_us {
-                            Some(ewma) => ewma * 0.8 + per_request_us * 0.2,
-                            None => per_request_us,
-                        });
-                    }
-                    admission.last_completed = Some(record.completed_at);
-                }
-            }
-        }
-
         let decision = match &mut self.admission {
             None => {
                 // Passthrough: the batch sharding path, one event at a time.
@@ -543,13 +425,9 @@ impl IngestSession {
                     .saturating_since(forwarded_at)
                     .as_micros();
                 // SLO headroom: how much queueing delay a request can absorb
-                // and still be served inside the SLO, under the current
-                // (possibly feedback-refined) service estimate.
-                let service_us = admission
-                    .refined_service_us
-                    .unwrap_or(self.service_estimate.as_micros() as f64);
-                let headroom_us = (admission.config.slo.as_micros() as f64 - service_us).max(0.0);
-                let offset_us = delay_us as i64 - headroom_us.round() as i64;
+                // and still be served inside the SLO.
+                let headroom_us = admission.config.slo.saturating_sub(service).as_micros();
+                let offset_us = delay_us as i64 - headroom_us as i64;
                 let nudge_ppm = admission.controller.observe(offset_us);
 
                 let queue_depth = admission.queues[replica].len();

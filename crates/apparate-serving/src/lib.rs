@@ -16,8 +16,8 @@
 //!   and fleet-level outcome aggregation, for both classification arrival
 //!   traces and generative request streams (whole sequences dispatched,
 //!   backlog weighted by output length).
-//! * [`ingest`] — streaming front end: incremental (one-event-at-a-time)
-//!   dispatch matching the batch sharding path, bounded per-replica
+//! * [`ingest`] — streaming front end: the fleet's incremental
+//!   (one-event-at-a-time) dispatch rule, bounded per-replica
 //!   admission queues, and an SLO-driven rate-slew pacing controller with
 //!   hysteresis and load shedding (bark's `RateAdjust` idiom).
 //! * [`metrics`] — latency/accuracy/throughput summaries and win computations.
@@ -42,7 +42,8 @@ pub use batching::{BatchDecision, BatchingPolicy};
 pub use fleet::{
     available_threads, shard_arrivals, shard_requests, FleetDispatch, FleetOutcome,
     FleetOutcomeView, FleetRun, FleetUnit, GenerativeFleetOutcome, GenerativeReplicaFleet,
-    ReplicaFleet, ReplicaOutcome, ReplicaUnit, RequestShard, TokenReplicaUnit, TraceShard,
+    IncrementalDispatcher, ReplicaFleet, ReplicaOutcome, ReplicaUnit, RequestShard,
+    TokenReplicaUnit, TraceShard,
 };
 pub use generative::{
     ContinuousBatchingConfig, GenerativeOutcome, GenerativeSimulator, StepOutcome, TokenOutcome,
@@ -50,8 +51,7 @@ pub use generative::{
 };
 pub use ingest::{
     count_oscillations, stream_arrivals, AdmissionConfig, AdmissionController, AdmissionDecision,
-    IncrementalDispatcher, IngestOutcome, IngestSession, IngestStats, PACE_BASE_PPM, PACE_MAX_PPM,
-    PACE_MIN_PPM,
+    IngestOutcome, IngestSession, IngestStats, PACE_BASE_PPM, PACE_MAX_PPM, PACE_MIN_PPM,
 };
 pub use metrics::{latency_cdf, tpt_cdf, LatencySummary, LatencyWins};
 pub use platform::{

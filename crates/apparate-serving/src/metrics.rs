@@ -9,10 +9,9 @@ use crate::generative::GenerativeOutcome;
 use crate::platform::ServingOutcome;
 use apparate_sim::stats::percent_improvement;
 use apparate_sim::{Cdf, Percentiles};
-use serde::{Deserialize, Serialize};
 
 /// Latency + accuracy + throughput summary of one serving run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencySummary {
     /// Which policy produced it.
     pub policy: String,
@@ -64,7 +63,7 @@ impl LatencySummary {
 
 /// Percentage latency wins of a system against a baseline, at the percentiles
 /// the paper reports.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LatencyWins {
     /// Win at the 25th percentile (%).
     pub p25: f64,

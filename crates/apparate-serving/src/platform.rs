@@ -17,7 +17,6 @@ use apparate_exec::{
 };
 use apparate_sim::{EventQueue, SimDuration, SimTime};
 use apparate_telemetry::{EventKind, Telemetry};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Window (in completed requests) of the `exit_rate_rolling` telemetry gauge.
@@ -150,7 +149,7 @@ where
 }
 
 /// Configuration of one serving run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServingConfig {
     /// Batching policy.
     pub policy: BatchingPolicy,
@@ -180,7 +179,7 @@ impl ServingConfig {
 }
 
 /// Aggregate result of one serving run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServingOutcome {
     /// Per-request records, in completion order.
     pub records: Vec<RequestRecord>,

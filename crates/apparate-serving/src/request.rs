@@ -2,10 +2,9 @@
 
 use apparate_exec::SampleSemantics;
 use apparate_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// An inference request submitted to the serving platform.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Request {
     /// Unique id (monotone in submission order).
     pub id: u64,
@@ -60,7 +59,7 @@ impl Request {
 }
 
 /// What happened to one request, as recorded by the serving simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestRecord {
     /// Request id.
     pub id: u64,

@@ -6,10 +6,9 @@
 //! tuned to saturate the GPU (§4.1). This module synthesises all three.
 
 use apparate_sim::{DeterministicRng, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A concrete sequence of arrival times.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ArrivalTrace {
     times: Vec<SimTime>,
 }

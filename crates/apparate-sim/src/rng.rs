@@ -237,6 +237,37 @@ mod tests {
     }
 
     #[test]
+    fn stream_draws_match_golden_bits() {
+        // The sequential ChaCha8 stream that traces and workloads draw from:
+        // these bit patterns must survive any change to how the generator
+        // or its `(0, 1)` and range samplers are implemented.
+        let mut s = DeterministicRng::new(42).stream(&[7, 11]);
+        let unit_bits: [u64; 16] = [
+            0x3FDD_2B90_6B82_DAE7,
+            0x3FE7_62EA_E95F_9BBC,
+            0x3FE1_7E28_3D7D_BB20,
+            0x3FD6_CCA3_3049_54C7,
+            0x3FC4_6E01_B101_45DE,
+            0x3FEB_ADA0_7071_8036,
+            0x3FE4_29AC_B289_44DC,
+            0x3FD2_B115_AC0B_C74D,
+            0x3FE8_35C1_F956_A444,
+            0x3FE0_30B5_9A96_C7FC,
+            0x3FEA_416A_9E17_8228,
+            0x3FED_A481_17C8_AA6C,
+            0x3FE5_C4E2_5FAE_534C,
+            0x3FE5_DE34_5BE1_01E6,
+            0x3FA6_75D2_723E_DC18,
+            0x3FE3_CBDA_BB66_4EB4,
+        ];
+        for (i, bits) in unit_bits.into_iter().enumerate() {
+            assert_eq!(s.unit().to_bits(), bits, "unit draw {i}");
+        }
+        let below: Vec<u64> = (0..8).map(|_| s.below(1000)).collect();
+        assert_eq!(below, [279, 418, 772, 499, 244, 71, 949, 851]);
+    }
+
+    #[test]
     fn normal_draw_second_uniform_is_the_extended_key_draw() {
         let root = DeterministicRng::new(3);
         for keys in [&[5u64][..], &[5, 9], &[5, 9, 2]] {

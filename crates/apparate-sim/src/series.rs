@@ -8,10 +8,9 @@
 
 use crate::stats::{OnlineStats, Percentiles};
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A `(time, value)` series.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }
@@ -66,7 +65,7 @@ impl TimeSeries {
 ///
 /// Each completed chunk exposes its [`OnlineStats`]; the partially filled tail
 /// chunk is reported separately.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChunkSeries {
     chunk_size: usize,
     completed: Vec<OnlineStats>,

@@ -5,10 +5,8 @@
 //! (relative savings). This module provides the small set of numerically
 //! careful primitives those reports need.
 
-use serde::{Deserialize, Serialize};
-
 /// Online mean / variance / min / max accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -101,7 +99,7 @@ impl OnlineStats {
 }
 
 /// A snapshot of the standard percentiles reported by the paper.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Percentiles {
     /// 25th percentile.
     pub p25: f64,
@@ -172,7 +170,7 @@ pub fn quantile(samples: &[f64], q: f64) -> f64 {
 }
 
 /// An empirical CDF, reported as `(value, cumulative fraction)` points.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Cdf {
     points: Vec<(f64, f64)>,
 }
@@ -247,7 +245,7 @@ impl Cdf {
 }
 
 /// A fixed-width histogram over `[lo, hi)` with an overflow bucket.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

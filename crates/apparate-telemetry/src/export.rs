@@ -1,10 +1,9 @@
 //! Hand-rolled exporters: JSON-lines for the trace and the metrics series,
 //! and a chrome://tracing-compatible dump for span-shaped events.
 //!
-//! The workspace's `serde` is an offline stub whose derives expand to nothing
-//! (see `crates/compat/serde`), so serialisation is manual — the same idiom
-//! `crates/bench/src/report.rs` uses for `BENCH_apparate.json`. Files are
-//! grep-able on purpose: CI validates required event kinds with plain
+//! The code uses no serialisation crate, so serialisation is manual — the
+//! same idiom `crates/bench/src/report.rs` uses for `BENCH_apparate.json`.
+//! Files are grep-able on purpose: CI validates required event kinds with plain
 //! substring matches.
 
 use crate::event::EventKind;

@@ -22,8 +22,7 @@
 //!   exit rate, link in-flight, active ramp count), plus counters and
 //!   power-of-two histograms.
 //!
-//! Exports are deliberately dependency-free (the workspace `serde` is an
-//! offline stub): [`render_trace_json_lines`] and
+//! Exports are deliberately dependency-free: [`render_trace_json_lines`] and
 //! [`render_metrics_json_lines`] write grep-able JSON-lines, and
 //! [`render_chrome_trace`] dumps span-shaped events (batches, link
 //! messages) in the chrome://tracing event format.

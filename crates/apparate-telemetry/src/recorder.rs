@@ -10,9 +10,8 @@
 
 use crate::event::{EventKind, TraceEvent};
 use apparate_sim::{SimDuration, SimTime};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Capacity and sampling knobs for a recording [`Telemetry`] handle.
 #[derive(Debug, Clone, Copy)]
@@ -311,6 +310,7 @@ impl Registry {
     fn recorder(self: &Arc<Self>, replica: u32) -> Arc<Mutex<Recorder>> {
         self.replicas
             .lock()
+            .expect("mutex poisoned")
             .entry(replica)
             .or_insert_with(|| Arc::new(Mutex::new(Recorder::new(self.config, replica))))
             .clone()
@@ -395,7 +395,7 @@ impl Telemetry {
     #[inline]
     pub fn emit(&self, at: SimTime, make: impl FnOnce() -> EventKind) {
         if let Some(recorder) = &self.recorder {
-            recorder.lock().emit(at, make());
+            recorder.lock().expect("mutex poisoned").emit(at, make());
         }
     }
 
@@ -404,7 +404,10 @@ impl Telemetry {
     #[inline]
     pub fn gauge(&self, at: SimTime, name: &str, value: f64) {
         if let Some(recorder) = &self.recorder {
-            recorder.lock().gauge(at, name, value);
+            recorder
+                .lock()
+                .expect("mutex poisoned")
+                .gauge(at, name, value);
         }
     }
 
@@ -412,7 +415,10 @@ impl Telemetry {
     #[inline]
     pub fn counter(&self, name: &str, delta: u64) {
         if let Some(recorder) = &self.recorder {
-            recorder.lock().counter(name, delta);
+            recorder
+                .lock()
+                .expect("mutex poisoned")
+                .counter(name, delta);
         }
     }
 
@@ -420,7 +426,10 @@ impl Telemetry {
     #[inline]
     pub fn observe(&self, name: &str, value: f64) {
         if let Some(recorder) = &self.recorder {
-            recorder.lock().observe(name, value);
+            recorder
+                .lock()
+                .expect("mutex poisoned")
+                .observe(name, value);
         }
     }
 
@@ -433,8 +442,13 @@ impl Telemetry {
     /// ordered by `(name, replica)`.
     pub fn snapshot(&self) -> Option<TelemetrySnapshot> {
         let registry = self.registry.as_ref()?;
-        let recorders: Vec<Arc<Mutex<Recorder>>> =
-            registry.replicas.lock().values().cloned().collect();
+        let recorders: Vec<Arc<Mutex<Recorder>>> = registry
+            .replicas
+            .lock()
+            .expect("mutex poisoned")
+            .values()
+            .cloned()
+            .collect();
         let mut merged = TelemetrySnapshot {
             events: Vec::new(),
             events_dropped: 0,
@@ -445,7 +459,7 @@ impl Telemetry {
         // Ascending replica order (BTreeMap), so the stable time sort below
         // breaks equal-timestamp ties by replica index.
         for recorder in recorders {
-            let part = recorder.lock().snapshot();
+            let part = recorder.lock().expect("mutex poisoned").snapshot();
             merged.events.extend(part.events);
             merged.events_dropped += part.events_dropped;
             merged.series.extend(part.series);
@@ -645,10 +659,10 @@ mod tests {
     fn parallel_replica_recording_merges_deterministically() {
         let run = || {
             let telemetry = Telemetry::recording(TelemetryConfig::default());
-            crossbeam::thread::scope(|s| {
+            std::thread::scope(|s| {
                 for replica in 0..4u32 {
                     let lane = telemetry.for_replica(replica);
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         for i in 0..50u64 {
                             lane.emit(SimTime::from_micros(i * 10), || tick(i));
                             lane.gauge(SimTime::from_micros(i * 10), "depth", i as f64);
@@ -656,8 +670,7 @@ mod tests {
                         }
                     });
                 }
-            })
-            .unwrap();
+            });
             telemetry.snapshot().unwrap()
         };
         let a = run();

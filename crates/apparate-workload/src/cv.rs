@@ -17,10 +17,9 @@
 use crate::stream::{Domain, Workload};
 use apparate_exec::SampleSemantics;
 use apparate_sim::DeterministicRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a synthetic video.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct VideoConfig {
     /// Number of frames (the paper's hour-long 30 fps videos have 108 000; the
     /// experiments here default to a few tens of thousands for tractability).

@@ -13,10 +13,9 @@
 
 use apparate_exec::SampleSemantics;
 use apparate_sim::DeterministicRng;
-use serde::{Deserialize, Serialize};
 
 /// The generative task being simulated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GenerativeTask {
     /// CNN/DailyMail-style abstractive summarisation: longer outputs.
     Summarization,
@@ -35,7 +34,7 @@ impl GenerativeTask {
 }
 
 /// Configuration of a generative workload.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GenerativeConfig {
     /// The task.
     pub task: GenerativeTask,
@@ -69,7 +68,7 @@ impl GenerativeConfig {
 
 /// One generative request: its output length and the latent difficulty state
 /// needed to derive per-token semantics lazily and deterministically.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SequenceSpec {
     /// Request id (index in the workload).
     pub request_id: u64,
@@ -81,7 +80,7 @@ pub struct SequenceSpec {
 
 /// A generative workload: a set of sequences plus a deterministic per-token
 /// difficulty model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GenerativeWorkload {
     /// The dataset this mimics.
     pub task: GenerativeTask,

@@ -17,10 +17,9 @@
 use crate::stream::{Domain, Workload};
 use apparate_exec::SampleSemantics;
 use apparate_sim::DeterministicRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Amazon-style review stream.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AmazonConfig {
     /// Number of requests (250 k in the paper).
     pub requests: usize,
@@ -81,7 +80,7 @@ pub fn amazon_reviews(config: AmazonConfig, seed: u64) -> Workload {
 }
 
 /// Configuration of the IMDB sentence stream.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ImdbConfig {
     /// Number of requests (sentences; 180 k in the paper).
     pub requests: usize,

@@ -8,10 +8,9 @@
 //! per-sample [`SampleSemantics`].
 
 use apparate_exec::SampleSemantics;
-use serde::{Deserialize, Serialize};
 
 /// Which domain a workload belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// Real-time video object classification.
     Cv,
@@ -22,7 +21,7 @@ pub enum Domain {
 }
 
 /// An ordered classification workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Workload {
     /// Human-readable name (e.g. `"video-urban-day"`, `"amazon-reviews"`).
     pub name: String,

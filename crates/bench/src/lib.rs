@@ -8,8 +8,8 @@
 //!   per-sample recording ([`run_bench`] / [`BenchConfig`]).
 //! * [`stats`] — interpolated quantiles and MAD-based outlier rejection.
 //! * [`report`] — the [`BenchReport`] record and the hand-rolled JSON-lines
-//!   writer behind `BENCH_*.json` (the compat `serde` derives expand to
-//!   nothing, so serialisation is manual).
+//!   writer behind `BENCH_*.json` (the code uses no serialisation crate, so
+//!   serialisation is manual).
 //! * [`suites`] — the nine suites measuring the workspace's hot paths (from
 //!   Algorithm 1 micro-benchmarks up to multi-replica fleet runs);
 //!   `benches/bench_*.rs` and the `bench` binary both dispatch into them.

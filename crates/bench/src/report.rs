@@ -1,9 +1,8 @@
 //! Machine-readable bench reports and the hand-rolled JSON-lines writer.
 //!
-//! The workspace's `serde` is an offline stub whose derives expand to nothing
-//! (see `crates/compat/serde`), so serialisation here is manual: one JSON
-//! object per line, written by [`BenchReport::to_json_line`] and bundled into
-//! a `BENCH_*.json` file by [`render_json_lines`]. The format is grep-able on
+//! The code uses no serialisation crate, so serialisation here is manual:
+//! one JSON object per line, written by [`BenchReport::to_json_line`] and
+//! bundled into a `BENCH_*.json` file by [`render_json_lines`]. The format is grep-able on
 //! purpose — CI checks suite coverage with a plain substring match.
 
 use crate::stats;
