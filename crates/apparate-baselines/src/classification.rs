@@ -1,7 +1,7 @@
 //! Classification-serving baselines: the [`ExitPolicy`] family.
 
 use apparate_core::{GreedyParams, IncrementalTuner, TuningOutcome, TuningWindow};
-use apparate_exec::{ExecutionPlan, RampObservation, SampleSemantics};
+use apparate_exec::{ExecutionPlan, RampObservation, SampleSemantics, SiteRamp};
 use apparate_model::LayerId;
 use apparate_serving::{BatchOutcome, ExitPolicy, Request, RequestOutcome, VanillaPolicy};
 use apparate_sim::{SimDuration, SimTime};
@@ -144,11 +144,11 @@ pub fn offline_tuned_thresholds(
 ) -> TuningOutcome {
     let num_ramps = plan.num_ramps();
     let mut window = TuningWindow::new(num_ramps, calibration.len().max(1));
-    let mut observations = Vec::with_capacity(num_ramps);
+    let mut row = Vec::with_capacity(num_ramps);
     for sample in calibration {
-        observations.clear();
-        observations.extend((0..num_ramps).map(|i| plan.observe(sample, i)));
-        window.push(&observations);
+        row.clear();
+        plan.observe_row(sample, &mut row);
+        window.push(&row);
     }
     let savings = per_ramp_savings_us(plan, reference_batch);
     IncrementalTuner::new().tune(&window, &savings, params)
@@ -164,8 +164,8 @@ pub fn offline_tuned_thresholds(
 /// lower-bounds every realisable policy on latency *and* throughput.
 pub struct OracleExitPolicy {
     plan: ExecutionPlan,
-    sites: Vec<LayerId>,
-    capacity: f64,
+    /// The hypothetical ramp at every feasible site, power computed once.
+    sites: Vec<SiteRamp>,
     name: String,
 }
 
@@ -180,9 +180,8 @@ impl OracleExitPolicy {
         name: impl Into<String>,
     ) -> OracleExitPolicy {
         OracleExitPolicy {
+            sites: plan.site_ramps(&sites, capacity),
             plan,
-            sites,
-            capacity,
             name: name.into(),
         }
     }
@@ -194,7 +193,6 @@ impl ExitPolicy for OracleExitPolicy {
         let (gpu_us, releases) = crate::oracle::batch_releases(
             &self.plan,
             &self.sites,
-            self.capacity,
             batch.iter().map(|r| r.semantics),
             b,
         );

@@ -8,7 +8,7 @@
 //! serving is provided by [`apparate_serving::VanillaTokenPolicy`].
 
 use crate::classification::exit_outcome;
-use apparate_exec::ExecutionPlan;
+use apparate_exec::{ExecutionPlan, SiteRamp};
 use apparate_model::LayerId;
 use apparate_serving::{StepOutcome, TokenOutcome, TokenPolicy, TokenSlot};
 use apparate_sim::{SimDuration, SimTime};
@@ -104,8 +104,8 @@ pub fn step_gpu_time(per_token: &[TokenOutcome]) -> SimDuration {
 /// with zero ramp overhead; the step frees the GPU at its slowest token.
 pub struct OracleTokenPolicy {
     plan: ExecutionPlan,
-    sites: Vec<LayerId>,
-    capacity: f64,
+    /// The hypothetical ramp at every feasible site, power computed once.
+    sites: Vec<SiteRamp>,
     name: String,
 }
 
@@ -118,9 +118,8 @@ impl OracleTokenPolicy {
         name: impl Into<String>,
     ) -> OracleTokenPolicy {
         OracleTokenPolicy {
+            sites: plan.site_ramps(&sites, capacity),
             plan,
-            sites,
-            capacity,
             name: name.into(),
         }
     }
@@ -132,7 +131,6 @@ impl TokenPolicy for OracleTokenPolicy {
         let (gpu_us, releases) = crate::oracle::batch_releases(
             &self.plan,
             &self.sites,
-            self.capacity,
             slots.iter().map(|s| s.semantics),
             b,
         );

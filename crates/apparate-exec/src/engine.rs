@@ -8,7 +8,13 @@
 //!   (Derived from the calibrated per-layer latency model plus per-ramp costs,
 //!   summed once per batch size and memoised inside the plan.)
 //! * **Observations** — what does each ramp report for each request?
-//!   (Delegated to the [`SemanticsModel`].)
+//!   (Delegated to the [`SemanticsModel`]. The plan computes each ramp's
+//!   predictive power once, and its observation kernels —
+//!   [`ExecutionPlan::observe_row`], [`ExecutionPlan::first_exit`] and
+//!   [`ExecutionPlan::first_agreeing_site`] — make each keyed draw once per
+//!   sample or per ramp. [`ExecutionPlan::observe`] and
+//!   [`ExecutionPlan::observe_at_site`] are the from-scratch references;
+//!   debug builds check every kernel result against them bit for bit.)
 //!
 //! The engine also owns the one release rule every threshold policy applies
 //! to those observations ([`earliest_exit`] over a full row,
@@ -17,7 +23,7 @@
 //! belong to the policy layers: Apparate's controller in `apparate-core` and
 //! the baselines in `apparate-baselines`.
 
-use crate::semantics::{RampObservation, SampleSemantics, SemanticsModel};
+use crate::semantics::{RampObservation, SampleDraws, SampleSemantics, SemanticsModel};
 use apparate_model::{LayerId, LayerLatency, ZooModel};
 use std::sync::OnceLock;
 
@@ -47,6 +53,8 @@ pub struct ExecutionPlan {
     ramps: Vec<RampPlacement>,
     /// Topological position of each ramp's site (parallel to `ramps`).
     ramp_positions: Vec<usize>,
+    /// Predictive power of each ramp (parallel to `ramps`).
+    ramp_powers: Vec<f64>,
     /// `timing[b - 1]`: the timing table of batch size `b`, built on first use.
     timing: [OnceLock<Timing>; MEMO_BATCHES],
 }
@@ -66,6 +74,24 @@ struct Timing {
     vanilla_total: f64,
     /// Sum of every active ramp's cost.
     ramp_overhead: f64,
+}
+
+/// A hypothetical ramp at one feasible site, with its predictive power
+/// computed once: what the hindsight oracles test every input against.
+#[derive(Debug, Clone, Copy)]
+pub struct SiteRamp {
+    site: LayerId,
+    /// Read only by the debug builds' from-scratch reference check.
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    capacity: f64,
+    power: f64,
+}
+
+impl SiteRamp {
+    /// The site the hypothetical ramp reads.
+    pub fn site(&self) -> LayerId {
+        self.site
+    }
 }
 
 /// One timing value a plan answers, read from a [`Timing`] table.
@@ -94,11 +120,17 @@ impl ExecutionPlan {
             ramp_positions.windows(2).all(|w| w[0] < w[1]),
             "duplicate ramp sites in execution plan"
         );
+        let ramp_powers = ramps
+            .iter()
+            .zip(&ramp_positions)
+            .map(|(r, &pos)| semantics.ramp_power(depth_fraction_at(&model, pos), r.capacity))
+            .collect();
         ExecutionPlan {
             model,
             semantics,
             ramps,
             ramp_positions,
+            ramp_powers,
             timing: std::array::from_fn(|_| OnceLock::new()),
         }
     }
@@ -131,20 +163,12 @@ impl ExecutionPlan {
     /// Normalised depth of a ramp: fraction of the model's layers executed
     /// before its observation is available.
     pub fn depth_fraction(&self, ramp_idx: usize) -> f64 {
-        let n = self.model.graph.len();
-        if n <= 1 {
-            return 1.0;
-        }
-        self.ramp_positions[ramp_idx] as f64 / (n - 1) as f64
+        depth_fraction_at(&self.model, self.ramp_positions[ramp_idx])
     }
 
     /// Normalised depth of an arbitrary layer site.
     pub fn depth_fraction_of_site(&self, site: LayerId) -> f64 {
-        let n = self.model.graph.len();
-        if n <= 1 {
-            return 1.0;
-        }
-        self.model.graph.topo_position(site) as f64 / (n - 1) as f64
+        depth_fraction_at(&self.model, self.model.graph.topo_position(site))
     }
 
     /// Latency of the *original* model (no ramps) for a batch, in µs.
@@ -266,25 +290,109 @@ impl ExecutionPlan {
         )
     }
 
+    /// Append one request's full observation row (one observation per active
+    /// ramp, in ramp order) to `row`. The input-noise draw is made once for
+    /// the row, and each ramp's draws share one key prefix; every entry equals
+    /// [`observe`](Self::observe) at its ramp, bit for bit.
+    pub fn observe_row(&self, sample: &SampleSemantics, row: &mut Vec<RampObservation>) {
+        let draws = self.semantics.sample_draws(sample);
+        #[cfg(debug_assertions)]
+        let start = row.len();
+        row.extend(
+            self.ramps
+                .iter()
+                .zip(&self.ramp_powers)
+                .map(|(ramp, &power)| {
+                    let margin = self
+                        .semantics
+                        .ramp_margin(&draws, ramp.site.0 as u64, power);
+                    RampObservation {
+                        entropy: self.semantics.entropy(&margin),
+                        agrees: self.semantics.agrees(&margin),
+                    }
+                }),
+        );
+        #[cfg(debug_assertions)]
+        for (i, obs) in row[start..].iter().enumerate() {
+            assert_same_observation(Some((i, *obs)), Some((i, self.observe(sample, i))), sample);
+        }
+    }
+
     /// The earliest exit for one request, observing ramps lazily: in ramp
-    /// order, skipping ramps whose threshold disables exiting, and stopping at
-    /// the first exit. Equals [`earliest_exit`] over the request's full
-    /// observation row, for policies that never read the rest of the row.
+    /// order, skipping ramps whose threshold disables exiting, stopping at the
+    /// first exit, and drawing agreement only at that exit. Equals
+    /// [`earliest_exit`] over the request's full observation row, for
+    /// policies that never read the rest of the row.
     pub fn first_exit(
         &self,
         sample: &SampleSemantics,
         thresholds: &[f64],
     ) -> Option<(usize, RampObservation)> {
-        for (i, &thr) in thresholds.iter().enumerate().take(self.ramps.len()) {
+        let mut draws: Option<SampleDraws> = None;
+        let mut exit = None;
+        let ramps = self.ramps.iter().zip(&self.ramp_powers);
+        for (i, (&thr, (ramp, &power))) in thresholds.iter().zip(ramps).enumerate() {
             // A non-positive threshold never releases: skip the observation.
             if thr > 0.0 {
-                let obs = self.observe(sample, i);
-                if releases_at(&obs, thr) {
-                    return Some((i, obs));
+                let draws = draws.get_or_insert_with(|| self.semantics.sample_draws(sample));
+                let margin = self.semantics.ramp_margin(draws, ramp.site.0 as u64, power);
+                let entropy = self.semantics.entropy(&margin);
+                if entropy <= thr {
+                    // Agreement is drawn only at the ramp that releases.
+                    let agrees = self.semantics.agrees(&margin);
+                    exit = Some((i, RampObservation { entropy, agrees }));
+                    break;
                 }
             }
         }
-        None
+        #[cfg(debug_assertions)]
+        assert_same_observation(
+            exit,
+            reference::first_exit(self, sample, thresholds),
+            sample,
+        );
+        exit
+    }
+
+    /// Hypothetical ramps with `capacity` at each of `sites` (in the given
+    /// order), their predictive power computed once, for
+    /// [`first_agreeing_site`](Self::first_agreeing_site).
+    pub fn site_ramps(&self, sites: &[LayerId], capacity: f64) -> Vec<SiteRamp> {
+        sites
+            .iter()
+            .map(|&site| SiteRamp {
+                site,
+                capacity,
+                power: self
+                    .semantics
+                    .ramp_power(self.depth_fraction_of_site(site), capacity),
+            })
+            .collect()
+    }
+
+    /// Index (into `ramps`) of the first hypothetical ramp that agrees with
+    /// the full model for `sample`, if any: the first `i` whose
+    /// [`observe_at_site`](Self::observe_at_site) agrees. Agreement needs only
+    /// the margin and agreement draws, so no entropy is drawn.
+    pub fn first_agreeing_site(
+        &self,
+        sample: &SampleSemantics,
+        ramps: &[SiteRamp],
+    ) -> Option<usize> {
+        let draws = self.semantics.sample_draws(sample);
+        let first = ramps.iter().position(|ramp| {
+            let margin = self
+                .semantics
+                .ramp_margin(&draws, ramp.site.0 as u64, ramp.power);
+            self.semantics.agrees(&margin)
+        });
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            first,
+            reference::first_agreeing_site(self, sample, ramps),
+            "oracle agreement kernel diverged from observe_at_site for {sample:?}"
+        );
+        first
     }
 
     /// Replace the ramp set, keeping model and semantics (used when the
@@ -292,6 +400,34 @@ impl ExecutionPlan {
     pub fn with_ramps(&self, ramps: Vec<RampPlacement>) -> ExecutionPlan {
         ExecutionPlan::new(self.model.clone(), self.semantics.clone(), ramps)
     }
+}
+
+/// Normalised depth of topological position `pos`: the fraction of the
+/// model's layers executed before it.
+fn depth_fraction_at(model: &ZooModel, pos: usize) -> f64 {
+    let n = model.graph.len();
+    if n <= 1 {
+        return 1.0;
+    }
+    pos as f64 / (n - 1) as f64
+}
+
+/// Panic unless a kernel's `(ramp, observation)` equals the reference's, with
+/// the entropy compared bit for bit.
+#[cfg(debug_assertions)]
+fn assert_same_observation(
+    kernel: Option<(usize, RampObservation)>,
+    reference: Option<(usize, RampObservation)>,
+    sample: &SampleSemantics,
+) {
+    let bits = |x: Option<(usize, RampObservation)>| {
+        x.map(|(i, obs)| (i, obs.entropy.to_bits(), obs.agrees))
+    };
+    assert_eq!(
+        bits(kernel),
+        bits(reference),
+        "observation kernel diverged from the from-scratch observation for {sample:?}"
+    );
 }
 
 /// The universal release rule shared by Apparate and the static baselines: a
@@ -314,10 +450,39 @@ pub fn earliest_exit(
         .map(|i| (i, row[i]))
 }
 
-/// The per-layer sums the memoised timing tables must reproduce bit for bit.
+/// The from-scratch references the plan's memo and kernels must reproduce bit
+/// for bit: per-layer timing sums, and observations that make every draw anew.
 #[cfg(any(test, debug_assertions))]
 mod reference {
-    use super::{ExecutionPlan, TimingQuery};
+    use super::{releases_at, ExecutionPlan, RampObservation, SiteRamp, TimingQuery};
+    use crate::semantics::SampleSemantics;
+
+    /// [`ExecutionPlan::first_exit`], observing each ramp from scratch.
+    pub(super) fn first_exit(
+        plan: &ExecutionPlan,
+        sample: &SampleSemantics,
+        thresholds: &[f64],
+    ) -> Option<(usize, RampObservation)> {
+        thresholds
+            .iter()
+            .take(plan.num_ramps())
+            .enumerate()
+            .filter(|&(_, &thr)| thr > 0.0)
+            .map(|(i, &thr)| (i, plan.observe(sample, i), thr))
+            .find(|(_, obs, thr)| releases_at(obs, *thr))
+            .map(|(i, obs, _)| (i, obs))
+    }
+
+    /// [`ExecutionPlan::first_agreeing_site`], observing each site from scratch.
+    pub(super) fn first_agreeing_site(
+        plan: &ExecutionPlan,
+        sample: &SampleSemantics,
+        ramps: &[SiteRamp],
+    ) -> Option<usize> {
+        ramps
+            .iter()
+            .position(|r| plan.observe_at_site(sample, r.site, r.capacity).agrees)
+    }
 
     fn ramp_costs(plan: &ExecutionPlan, through: usize, batch: u32) -> f64 {
         plan.ramps[..through]
@@ -544,6 +709,87 @@ mod tests {
         assert_eq!(
             swapped.gpu_batch_time_us(4).to_bits(),
             plan.vanilla_total_us(4).to_bits()
+        );
+    }
+
+    #[test]
+    fn observation_kernels_equal_the_from_scratch_observations_bit_for_bit() {
+        let same = |a: &RampObservation, b: &RampObservation| {
+            a.entropy.to_bits() == b.entropy.to_bits() && a.agrees == b.agrees
+        };
+        let mut observations = 0usize;
+        for model in every_zoo_model() {
+            let name = &model.descriptor.name;
+            let sites = model.graph.feasible_ramp_sites(None);
+            for seed in [1u64, 7, 42, 1_234] {
+                let semantics = SemanticsModel::new(seed, model.descriptor.overparameterization);
+                let vanilla = ExecutionPlan::vanilla(model.clone(), semantics.clone());
+                // Two capacities, so the power memo cannot pass by chance.
+                let oracle_ramps = [
+                    vanilla.site_ramps(&sites, 0.95),
+                    vanilla.site_ramps(&sites, 0.7),
+                ];
+                for ramps in ramp_sets(&model) {
+                    let plan = ExecutionPlan::new(model.clone(), semantics.clone(), ramps);
+                    let n = plan.num_ramps();
+                    let threshold_vectors = [
+                        vec![0.0; n],
+                        vec![1.0; n],
+                        vec![0.2; n],
+                        (0..n).map(|i| [0.0, 0.1, 0.45, f64::NAN][i % 4]).collect(),
+                    ];
+                    let mut row = vec![RampObservation {
+                        entropy: -1.0,
+                        agrees: false,
+                    }];
+                    for i in 0..24u64 {
+                        let sample = SampleSemantics::new(i * 97 + seed, (i % 12) as f64 / 11.0);
+                        // The row is appended after what the vector holds.
+                        row.truncate(1);
+                        plan.observe_row(&sample, &mut row);
+                        let reference = full_row(&plan, &sample);
+                        assert_eq!(row.len(), n + 1);
+                        assert!(
+                            row[1..].iter().zip(&reference).all(|(a, b)| same(a, b)),
+                            "{name}, seed {seed}, {n} ramps, sample {i}: observe_row"
+                        );
+                        observations += n;
+                        for thresholds in &threshold_vectors {
+                            let lazy = plan.first_exit(&sample, thresholds);
+                            let full = earliest_exit(&reference, thresholds);
+                            assert_eq!(lazy.map(|e| e.0), full.map(|e| e.0));
+                            if let (Some((_, a)), Some((_, b))) = (lazy, full) {
+                                assert!(
+                                    same(&a, &b),
+                                    "{name}, seed {seed}, sample {i}: first_exit"
+                                );
+                            }
+                            assert_eq!(lazy, reference::first_exit(&plan, &sample, thresholds));
+                        }
+                    }
+                }
+                for (ramps, capacity) in oracle_ramps.iter().zip([0.95, 0.7]) {
+                    for i in 0..24u64 {
+                        let sample = SampleSemantics::new(i * 89 + seed, (i % 8) as f64 / 7.0);
+                        let expected = sites.iter().position(|&site| {
+                            vanilla.observe_at_site(&sample, site, capacity).agrees
+                        });
+                        assert_eq!(
+                            vanilla.first_agreeing_site(&sample, ramps),
+                            expected,
+                            "{name}, seed {seed}, capacity {capacity}, sample {i}: oracle agreement"
+                        );
+                        assert_eq!(
+                            expected,
+                            reference::first_agreeing_site(&vanilla, &sample, ramps)
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            observations > 100_000,
+            "{observations} observations checked"
         );
     }
 

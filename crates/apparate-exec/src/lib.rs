@@ -21,7 +21,7 @@ pub mod gpu;
 pub mod profiler;
 pub mod semantics;
 
-pub use engine::{earliest_exit, ExecutionPlan, RampPlacement};
+pub use engine::{earliest_exit, ExecutionPlan, RampPlacement, SiteRamp};
 pub use gpu::{GpuDevice, GpuError};
 pub use profiler::{
     feedback_link, FeedbackReceiver, FeedbackSender, LinkCost, LinkStats, OverheadReport,

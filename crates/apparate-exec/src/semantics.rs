@@ -18,14 +18,45 @@
 //! 3. **Determinism / order independence**: the observation for (input, ramp
 //!    site) is a pure function of the workload seed, so oracles, counterfactual
 //!    threshold evaluations and candidate-ramp estimates all see exactly what
-//!    the live system saw. This uses [`DeterministicRng::unit_draw`].
+//!    the live system saw. Every draw is a keyed
+//!    [`DeterministicRng::normal_draw`].
+//!
+//! # One observation, in two halves
+//!
+//! An observation of sample `s` at the ramp keyed `k` (its site's layer id)
+//! is built from the ramp's predictive power ([`SemanticsModel::ramp_power`])
+//! and four keyed normal draws:
+//!
+//! * **per sample** — the input noise `[s, 1]`, the same at every ramp, so
+//!   it is drawn once per sample, and the mixed `[s]` key prefix every
+//!   draw of the sample starts from (`SampleDraws`);
+//! * **per ramp** — the margin perturbation `[s, k, 2]`, the entropy noise
+//!   `[s, k, 3]` and the agreement noise `[s, k, 4]`, which share the mixed
+//!   `[s, k]` key prefix (`RampMargin`). The power is a constant of the
+//!   ramp, so an [`ExecutionPlan`](crate::ExecutionPlan) computes it once per
+//!   ramp when it is built.
+//!
+//! The margin is `power − difficulty + input noise + margin perturbation`;
+//! the entropy is logistic in the negative margin plus its noise, and the ramp
+//! agrees with the full model iff the margin plus the agreement noise is
+//! positive. Readers that need only one of the two skip the other's draw: the
+//! lazy first-exit rule draws agreement only at the ramp that releases, and
+//! the hindsight oracles never draw entropy. [`SemanticsModel::observe`]
+//! makes all four draws from scratch; it is the reference the split halves
+//! must reproduce bit for bit, and debug builds check every split result
+//! against it.
 //!
 //! Calibration knob: the model descriptor's `overparameterization` value. High
 //! values (CV models) mean most inputs are predictable very early; lower
 //! values (BERT/GPT2 sentiment) push exits towards the middle of the model,
 //! which is what produces the paper's CV-vs-NLP win gap.
 
-use apparate_sim::DeterministicRng;
+use apparate_sim::{DeterministicRng, KeyPrefix};
+
+/// Scale of the per-input margin noise (draw key `[seed, 1]`).
+const INPUT_NOISE: f64 = 0.03;
+/// Scale of the per-(input, ramp) margin perturbation (`[seed, ramp, 2]`).
+const RAMP_NOISE: f64 = 0.015;
 
 /// Semantic description of one input (or one generated token), produced by
 /// the workload generators.
@@ -61,6 +92,25 @@ pub struct RampObservation {
     /// This is the accuracy ground truth Apparate gets for free because inputs
     /// always run to completion.
     pub agrees: bool,
+}
+
+/// The per-sample half of an observation: the sample's difficulty, its mixed
+/// `[seed]` key prefix and its input-noise draw, shared by every ramp that
+/// observes it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SampleDraws {
+    difficulty: f64,
+    prefix: KeyPrefix,
+    input_noise: f64,
+}
+
+/// The per-ramp half of an observation: one sample's latent margin at one
+/// ramp, and the mixed `[seed, ramp_key]` key prefix its entropy and
+/// agreement draws share.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RampMargin {
+    prefix: KeyPrefix,
+    margin: f64,
 }
 
 /// Calibrated semantics model for one served model.
@@ -139,8 +189,8 @@ impl SemanticsModel {
         // The per-input noise must be identical across depths so that margin is
         // monotone in depth for each individual input; the per-ramp component
         // is small and only breaks ties between nearby ramps.
-        let input_noise = self.rng.normal_draw(&[sample.seed, 1]) * 0.03;
-        let ramp_noise = self.rng.normal_draw(&[sample.seed, ramp_key, 2]) * 0.015;
+        let input_noise = self.rng.normal_draw(&[sample.seed, 1]) * INPUT_NOISE;
+        let ramp_noise = self.rng.normal_draw(&[sample.seed, ramp_key, 2]) * RAMP_NOISE;
         power - sample.difficulty + input_noise + ramp_noise
     }
 
@@ -164,6 +214,43 @@ impl SemanticsModel {
         let noise_a = self.rng.normal_draw(&[sample.seed, ramp_key, 4]) * self.agreement_noise;
         let agrees = margin + noise_a > 0.0;
         RampObservation { entropy, agrees }
+    }
+
+    /// The per-sample half of every observation of `sample`: its key prefix
+    /// and its input-noise draw.
+    pub(crate) fn sample_draws(&self, sample: &SampleSemantics) -> SampleDraws {
+        let prefix = self.rng.prefix(&[sample.seed]);
+        SampleDraws {
+            difficulty: sample.difficulty,
+            prefix,
+            input_noise: prefix.normal_draw(1) * INPUT_NOISE,
+        }
+    }
+
+    /// The per-ramp half: the latent margin of a sample at the ramp keyed
+    /// `ramp_key` with predictive `power` (the margin perturbation is the one
+    /// draw made here).
+    pub(crate) fn ramp_margin(&self, draws: &SampleDraws, ramp_key: u64, power: f64) -> RampMargin {
+        let prefix = draws.prefix.extended(ramp_key);
+        let ramp_noise = prefix.normal_draw(2) * RAMP_NOISE;
+        RampMargin {
+            prefix,
+            margin: power - draws.difficulty + draws.input_noise + ramp_noise,
+        }
+    }
+
+    /// The entropy a ramp reports at `margin`; equals
+    /// [`observe`](Self::observe)`.entropy`.
+    pub(crate) fn entropy(&self, margin: &RampMargin) -> f64 {
+        let noise_e = margin.prefix.normal_draw(3) * self.entropy_noise;
+        (1.0 / (1.0 + (margin.margin / self.temperature).exp()) + noise_e).clamp(0.0, 1.0)
+    }
+
+    /// Whether the ramp at `margin` agrees with the full model; equals
+    /// [`observe`](Self::observe)`.agrees`.
+    pub(crate) fn agrees(&self, margin: &RampMargin) -> bool {
+        let noise_a = margin.prefix.normal_draw(4) * self.agreement_noise;
+        margin.margin + noise_a > 0.0
     }
 
     /// The final model's own "observation": by definition it agrees with

@@ -130,7 +130,7 @@ impl GpuHalf {
         let mut outcomes = Vec::with_capacity(samples.len());
         for sample in samples {
             let row_start = observations.len();
-            observations.extend((0..num_ramps).map(|i| self.plan.observe(sample, i)));
+            self.plan.observe_row(sample, &mut observations);
             let exit = earliest_exit(&observations[row_start..], &self.thresholds);
             outcomes.push(exit_outcome(&self.plan, exit, b));
         }

@@ -383,8 +383,11 @@ impl ServingSimulator {
                 continue;
             }
             // GPU is idle: ask the batching policy what to do.
-            let queued: Vec<Request> = queue.iter().cloned().collect();
-            match self.config.policy.decide(&queued, now, estimate_batch_time) {
+            match self
+                .config
+                .policy
+                .decide(queue.make_contiguous(), now, estimate_batch_time)
+            {
                 BatchDecision::Idle => {}
                 BatchDecision::WaitUntil(at) => {
                     events.schedule(at, Event::TimeoutCheck);

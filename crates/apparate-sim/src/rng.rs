@@ -72,10 +72,16 @@ impl DeterministicRng {
     /// draw's key state by one more mixing step instead of re-hashing a copied
     /// key list.
     pub fn normal_draw(&self, keys: &[u64]) -> f64 {
-        let state = self.key_state(keys);
-        let u1 = unit_from_state(state);
-        let u2 = unit_from_state(mix_key(state, keys.len(), NORMAL_SECOND_KEY));
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+        normal_from_state(self.key_state(keys), keys.len())
+    }
+
+    /// Mix `keys` once into a [`KeyPrefix`], from which every draw keyed by
+    /// `keys` plus one more key is made without mixing `keys` again.
+    pub fn prefix(&self, keys: &[u64]) -> KeyPrefix {
+        KeyPrefix {
+            state: self.key_state(keys),
+            len: keys.len(),
+        }
     }
 
     /// The mixed state of `(seed, keys...)`: every keyed draw starts here.
@@ -84,6 +90,39 @@ impl DeterministicRng {
             .enumerate()
             .fold(splitmix64(self.seed), |state, (i, &k)| mix_key(state, i, k))
     }
+}
+
+/// The mixed key state of a key-list prefix: draws keyed by the prefix plus
+/// one more key, bit-identical to the [`DeterministicRng`] draws keyed by the
+/// whole list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyPrefix {
+    state: u64,
+    len: usize,
+}
+
+impl KeyPrefix {
+    /// The prefix followed by `key`: equal to `rng.prefix(&[prefix.., key])`.
+    pub fn extended(&self, key: u64) -> KeyPrefix {
+        KeyPrefix {
+            state: mix_key(self.state, self.len, key),
+            len: self.len + 1,
+        }
+    }
+
+    /// The standard-normal draw keyed by the prefix followed by `key`: equal,
+    /// bit for bit, to `rng.normal_draw(&[prefix.., key])`.
+    pub fn normal_draw(&self, key: u64) -> f64 {
+        normal_from_state(mix_key(self.state, self.len, key), self.len + 1)
+    }
+}
+
+/// Box–Muller over the unit draw of a key state (of a `len`-key list) and the
+/// unit draw of the same list extended by [`NORMAL_SECOND_KEY`].
+fn normal_from_state(state: u64, len: usize) -> f64 {
+    let u1 = unit_from_state(state);
+    let u2 = unit_from_state(mix_key(state, len, NORMAL_SECOND_KEY));
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// The extra key whose draw is a normal draw's second uniform.
@@ -233,6 +272,48 @@ mod tests {
                 normal_bits,
                 "normal {keys:?}"
             );
+        }
+    }
+
+    #[test]
+    fn prefix_draws_match_golden_bits() {
+        // The same `[7, 123, 2..=4]` bits as above, drawn from the mixed
+        // `[7, 123]` prefix the way a ramp observation draws them.
+        let prefix = DeterministicRng::new(42).prefix(&[7, 123]);
+        let golden = [
+            (2, 0xBFF3_580F_69F4_6AE9),
+            (3, 0xBFBA_21AE_238F_F42E),
+            (4, 0xBFBC_0E7D_034B_DA5A),
+        ];
+        for (key, normal_bits) in golden {
+            assert_eq!(prefix.normal_draw(key).to_bits(), normal_bits, "key {key}");
+        }
+        let one_key = DeterministicRng::new(42).prefix(&[7]);
+        assert_eq!(one_key.normal_draw(1).to_bits(), 0xBFC2_31F4_BD73_9204);
+        assert_eq!(one_key.extended(123), prefix);
+        assert_eq!(
+            one_key.extended(123).normal_draw(4).to_bits(),
+            0xBFBC_0E7D_034B_DA5A
+        );
+    }
+
+    #[test]
+    fn prefix_draws_equal_full_key_draws() {
+        for seed in [0u64, 3, 42] {
+            let root = DeterministicRng::new(seed);
+            for prefix in [&[][..], &[5], &[5, 9], &[5, 9, 2]] {
+                let mixed = root.prefix(prefix);
+                for key in [0u64, 1, 4, u64::MAX] {
+                    let mut keys = prefix.to_vec();
+                    keys.push(key);
+                    assert_eq!(
+                        mixed.normal_draw(key).to_bits(),
+                        root.normal_draw(&keys).to_bits(),
+                        "seed {seed}, keys {keys:?}"
+                    );
+                    assert_eq!(mixed.extended(key), root.prefix(&keys));
+                }
+            }
         }
     }
 

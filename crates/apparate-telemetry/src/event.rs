@@ -6,8 +6,9 @@
 //! (CI validates required kinds with plain substring matches, the same way it
 //! checks `BENCH_apparate.json` suite coverage).
 
-use crate::export::escape_json;
+use crate::export::write_escaped_json;
 use apparate_sim::SimTime;
+use std::fmt::Write;
 
 /// Which direction of the GPU ↔ controller link a message travelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,39 +151,51 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-fn usize_list(xs: &[usize]) -> String {
-    let mut out = String::from("[");
+/// Append `xs` as a JSON array of integers.
+fn write_usize_list(out: &mut String, xs: &[usize]) {
+    out.push('[');
     for (i, x) in xs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&x.to_string());
+        let _ = write!(out, "{x}");
     }
     out.push(']');
-    out
 }
 
 impl TraceEvent {
     /// One JSON object, no trailing newline. Common fields first
     /// (`at_us`, `replica`, `kind`), then the kind-specific payload.
     pub fn to_json_line(&self) -> String {
-        let head = format!(
-            "{{\"at_us\":{},\"replica\":{},\"kind\":\"{}\"",
+        let mut line = String::new();
+        self.write_json_line(&mut line);
+        line
+    }
+
+    /// Append [`to_json_line`](Self::to_json_line)'s object to `out`, with
+    /// no intermediate allocation.
+    pub fn write_json_line(&self, out: &mut String) {
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            out,
+            "{{\"at_us\":{},\"replica\":{},\"kind\":\"",
             self.at.as_micros(),
             self.replica,
-            escape_json(self.kind.kind_name()),
         );
-        let tail = match &self.kind {
+        write_escaped_json(out, self.kind.kind_name());
+        out.push('"');
+        let _ = match &self.kind {
             EventKind::RampSetChanged {
                 activated,
                 deactivated,
                 active_count,
-            } => format!(
-                ",\"activated\":{},\"deactivated\":{},\"active_count\":{}}}",
-                usize_list(activated),
-                usize_list(deactivated),
-                active_count,
-            ),
+            } => {
+                out.push_str(",\"activated\":");
+                write_usize_list(out, activated);
+                out.push_str(",\"deactivated\":");
+                write_usize_list(out, deactivated);
+                write!(out, ",\"active_count\":{active_count}}}")
+            }
             EventKind::UpdateIssued {
                 epoch,
                 ramps_changed,
@@ -190,50 +203,61 @@ impl TraceEvent {
             | EventKind::UpdateDelivered {
                 epoch,
                 ramps_changed,
-            } => format!(",\"epoch\":{epoch},\"ramps_changed\":{ramps_changed}}}"),
+            } => write!(out, ",\"epoch\":{epoch},\"ramps_changed\":{ramps_changed}}}"),
             EventKind::StaleRecordDropped {
                 record_epoch,
                 min_epoch,
-            } => format!(",\"record_epoch\":{record_epoch},\"min_epoch\":{min_epoch}}}"),
+            } => write!(
+                out,
+                ",\"record_epoch\":{record_epoch},\"min_epoch\":{min_epoch}}}"
+            ),
             EventKind::Dispatch {
                 request_id,
                 replica,
-            } => format!(",\"request_id\":{request_id},\"to_replica\":{replica}}}"),
+            } => write!(out, ",\"request_id\":{request_id},\"to_replica\":{replica}}}"),
             EventKind::BatchFormed {
                 size,
                 queue_depth,
                 gpu_us,
-            } => format!(",\"size\":{size},\"queue_depth\":{queue_depth},\"gpu_us\":{gpu_us}}}"),
+            } => write!(
+                out,
+                ",\"size\":{size},\"queue_depth\":{queue_depth},\"gpu_us\":{gpu_us}}}"
+            ),
             EventKind::SloViolation {
                 request_id,
                 latency_us,
                 slo_us,
-            } => format!(
+            } => write!(
+                out,
                 ",\"request_id\":{request_id},\"latency_us\":{latency_us},\"slo_us\":{slo_us}}}"
             ),
             EventKind::LinkMessage {
                 direction,
                 bytes,
                 latency_us,
-            } => format!(
+            } => write!(
+                out,
                 ",\"direction\":\"{}\",\"bytes\":{bytes},\"latency_us\":{latency_us}}}",
                 direction.as_str(),
             ),
             EventKind::TuningRound {
                 epoch,
                 thresholds_changed,
-            } => format!(",\"epoch\":{epoch},\"thresholds_changed\":{thresholds_changed}}}"),
+            } => write!(
+                out,
+                ",\"epoch\":{epoch},\"thresholds_changed\":{thresholds_changed}}}"
+            ),
             EventKind::Admission {
                 request_id,
                 replica,
                 queue_depth,
                 admitted,
                 pace_ppm,
-            } => format!(
+            } => write!(
+                out,
                 ",\"request_id\":{request_id},\"to_replica\":{replica},\"queue_depth\":{queue_depth},\"admitted\":{admitted},\"pace_ppm\":{pace_ppm}}}"
             ),
         };
-        head + &tail
     }
 }
 
@@ -324,6 +348,102 @@ mod tests {
         ];
         for (kind, name) in kinds {
             assert_eq!(kind.kind_name(), name);
+        }
+    }
+
+    #[test]
+    fn json_lines_match_their_literal_bytes() {
+        // One line per kind pins the export format byte for byte.
+        let expected = [
+            (
+                EventKind::RampSetChanged {
+                    activated: vec![2, 5],
+                    deactivated: vec![],
+                    active_count: 4,
+                },
+                r#"{"at_us":1234,"replica":3,"kind":"ramp-set-changed","activated":[2,5],"deactivated":[],"active_count":4}"#,
+            ),
+            (
+                EventKind::UpdateIssued {
+                    epoch: 7,
+                    ramps_changed: false,
+                },
+                r#"{"at_us":1234,"replica":3,"kind":"update-issued","epoch":7,"ramps_changed":false}"#,
+            ),
+            (
+                EventKind::UpdateDelivered {
+                    epoch: 7,
+                    ramps_changed: true,
+                },
+                r#"{"at_us":1234,"replica":3,"kind":"update-delivered","epoch":7,"ramps_changed":true}"#,
+            ),
+            (
+                EventKind::StaleRecordDropped {
+                    record_epoch: 2,
+                    min_epoch: 3,
+                },
+                r#"{"at_us":1234,"replica":3,"kind":"stale-record-dropped","record_epoch":2,"min_epoch":3}"#,
+            ),
+            (
+                EventKind::Dispatch {
+                    request_id: 99,
+                    replica: 1,
+                },
+                r#"{"at_us":1234,"replica":3,"kind":"dispatch","request_id":99,"to_replica":1}"#,
+            ),
+            (
+                EventKind::BatchFormed {
+                    size: 8,
+                    queue_depth: 0,
+                    gpu_us: 900,
+                },
+                r#"{"at_us":1234,"replica":3,"kind":"batch-formed","size":8,"queue_depth":0,"gpu_us":900}"#,
+            ),
+            (
+                EventKind::SloViolation {
+                    request_id: 99,
+                    latency_us: 12_000,
+                    slo_us: 10_000,
+                },
+                r#"{"at_us":1234,"replica":3,"kind":"slo-violation","request_id":99,"latency_us":12000,"slo_us":10000}"#,
+            ),
+            (
+                EventKind::LinkMessage {
+                    direction: LinkDirection::Up,
+                    bytes: 1024,
+                    latency_us: 425,
+                },
+                r#"{"at_us":1234,"replica":3,"kind":"link-message","direction":"up","bytes":1024,"latency_us":425}"#,
+            ),
+            (
+                EventKind::TuningRound {
+                    epoch: 2,
+                    thresholds_changed: true,
+                },
+                r#"{"at_us":1234,"replica":3,"kind":"tuning-round","epoch":2,"thresholds_changed":true}"#,
+            ),
+            (
+                EventKind::Admission {
+                    request_id: 99,
+                    replica: 1,
+                    queue_depth: 3,
+                    admitted: false,
+                    pace_ppm: 995_000,
+                },
+                r#"{"at_us":1234,"replica":3,"kind":"admission","request_id":99,"to_replica":1,"queue_depth":3,"admitted":false,"pace_ppm":995000}"#,
+            ),
+        ];
+        for (kind, line) in expected {
+            let event = TraceEvent {
+                at: SimTime::from_micros(1234),
+                replica: 3,
+                kind,
+            };
+            assert_eq!(event.to_json_line(), line);
+            // Appending writes the same bytes after what the buffer holds.
+            let mut out = String::from("x");
+            event.write_json_line(&mut out);
+            assert_eq!(out, format!("x{line}"));
         }
     }
 

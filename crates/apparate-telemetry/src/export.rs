@@ -8,10 +8,17 @@
 
 use crate::event::EventKind;
 use crate::recorder::{TelemetrySnapshot, HISTOGRAM_BOUNDS};
+use std::fmt::Write;
 
 /// Escape a string for inclusion inside JSON double quotes.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    write_escaped_json(&mut out, s);
+    out
+}
+
+/// Append [`escape_json`]`(s)` to `out`.
+pub(crate) fn write_escaped_json(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -20,22 +27,28 @@ pub fn escape_json(s: &str) -> String {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
-    out
+}
+
+/// Append [`json_number`]`(x)` to `out`.
+fn write_json_number(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
+    }
 }
 
 /// Render an `f64` as a JSON number; non-finite values become `null` so the
 /// file stays parseable.
 pub fn json_number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
+    let mut out = String::new();
+    write_json_number(&mut out, x);
+    out
 }
 
 /// Render the event trace as JSON-lines: a schema header carrying the
@@ -47,7 +60,7 @@ pub fn render_trace_json_lines(snapshot: &TelemetrySnapshot) -> String {
         snapshot.events_dropped,
     );
     for event in &snapshot.events {
-        out.push_str(&event.to_json_line());
+        event.write_json_line(&mut out);
         out.push('\n');
     }
     out
@@ -68,51 +81,50 @@ pub fn render_metrics_json_lines(snapshot: &TelemetrySnapshot) -> String {
         snapshot.counters.len(),
         snapshot.histograms.len(),
     );
+    // Writing into a `String` cannot fail.
     for series in &snapshot.series {
+        // Everything before `at_us` is the same on every point of a series.
+        let mut head = String::from("{\"series\":\"");
+        write_escaped_json(&mut head, &series.name);
+        let _ = write!(head, "\",\"replica\":{},\"at_us\":", series.replica);
         for (at_us, value) in &series.points {
-            out.push_str(&format!(
-                "{{\"series\":\"{}\",\"replica\":{},\"at_us\":{},\"value\":{}}}\n",
-                escape_json(&series.name),
-                series.replica,
-                at_us,
-                json_number(*value),
-            ));
+            out.push_str(&head);
+            let _ = write!(out, "{at_us},\"value\":");
+            write_json_number(&mut out, *value);
+            out.push_str("}\n");
         }
     }
     for counter in &snapshot.counters {
-        out.push_str(&format!(
-            "{{\"counter\":\"{}\",\"replica\":{},\"value\":{}}}\n",
-            escape_json(&counter.name),
-            counter.replica,
-            counter.value,
-        ));
+        out.push_str("{\"counter\":\"");
+        write_escaped_json(&mut out, &counter.name);
+        let _ = writeln!(
+            out,
+            "\",\"replica\":{},\"value\":{}}}",
+            counter.replica, counter.value,
+        );
     }
     for hist in &snapshot.histograms {
-        let bounds = HISTOGRAM_BOUNDS
-            .iter()
-            .map(|b| b.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        let counts = hist
-            .counts
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        out.push_str(&format!(
-            concat!(
-                "{{\"histogram\":\"{}\",\"replica\":{},\"bounds\":[{}],",
-                "\"counts\":[{}],\"count\":{},\"sum\":{}}}\n"
-            ),
-            escape_json(&hist.name),
-            hist.replica,
-            bounds,
-            counts,
-            hist.count,
-            json_number(hist.sum),
-        ));
+        out.push_str("{\"histogram\":\"");
+        write_escaped_json(&mut out, &hist.name);
+        let _ = write!(out, "\",\"replica\":{},\"bounds\":[", hist.replica);
+        write_joined(&mut out, &HISTOGRAM_BOUNDS);
+        out.push_str("],\"counts\":[");
+        write_joined(&mut out, &hist.counts);
+        let _ = write!(out, "],\"count\":{},\"sum\":", hist.count);
+        write_json_number(&mut out, hist.sum);
+        out.push_str("}\n");
     }
     out
+}
+
+/// Append `xs`, comma-separated, in their `Display` form.
+fn write_joined<T: std::fmt::Display>(out: &mut String, xs: &[T]) {
+    for (i, x) in xs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{x}");
+    }
 }
 
 /// Render the span-shaped events (batches and link messages carry durations;
@@ -247,6 +259,30 @@ mod tests {
         assert!(text.contains("\"counter\":\"link_up_messages\""));
         assert!(text.contains("\"histogram\":\"batch_size\""));
         assert!(text.contains("\"count\":1"));
+    }
+
+    #[test]
+    fn metrics_lines_match_their_literal_bytes() {
+        let telemetry = Telemetry::recording(TelemetryConfig::default());
+        telemetry.gauge(SimTime::from_micros(5), "q\"d", 2.5);
+        telemetry.gauge(SimTime::from_micros(60_000_000), "q\"d", f64::NAN);
+        telemetry.counter("batches", 3);
+        telemetry.observe("batch_size", 8.0);
+        let text = render_metrics_json_lines(&telemetry.snapshot().unwrap());
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                r#"{"schema":"apparate-metrics/v1","series":1,"points":2,"points_dropped":0,"counters":1,"histograms":1}"#,
+                r#"{"series":"q\"d","replica":0,"at_us":5,"value":2.5}"#,
+                r#"{"series":"q\"d","replica":0,"at_us":60000000,"value":null}"#,
+                r#"{"counter":"batches","replica":0,"value":3}"#,
+                concat!(
+                    r#"{"histogram":"batch_size","replica":0,"bounds":[1,2,4,8,16,32,64,128,256,512,1024,2048,4096,8192,16384,32768,65536],"#,
+                    r#""counts":[0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"count":1,"sum":8}"#
+                ),
+            ]
+        );
     }
 
     #[test]

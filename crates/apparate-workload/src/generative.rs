@@ -87,7 +87,19 @@ pub struct GenerativeWorkload {
     sequences: Vec<SequenceSpec>,
     continuity: f64,
     seed: u64,
+    /// The semantics of every token of every sequence, sequence after
+    /// sequence in request order.
+    tokens: Vec<SampleSemantics>,
+    /// `token_start[r]`: index in `tokens` of request `r`'s first token.
+    token_start: Vec<usize>,
 }
+
+/// Innovations a token's AR(1) difficulty blends: the token's own and those
+/// of the 7 before it. Covers > 99 % of the mass for continuity <= 0.9.
+const AR_WINDOW: usize = 8;
+
+/// Scale of one token's difficulty innovation.
+const INNOVATION_SCALE: f64 = 0.12;
 
 impl GenerativeWorkload {
     /// Build a workload.
@@ -112,13 +124,70 @@ impl GenerativeWorkload {
                     sequence_mean,
                 }
             })
-            .collect();
-        GenerativeWorkload {
+            .collect::<Vec<SequenceSpec>>();
+        let mut workload = GenerativeWorkload {
             task: config.task,
-            sequences,
             continuity: config.continuity,
             seed,
+            tokens: Vec::new(),
+            token_start: Vec::with_capacity(sequences.len()),
+            sequences,
+        };
+        workload.fill_token_table();
+        workload
+    }
+
+    /// Build the token table: each token's innovation is drawn once, and each
+    /// token's difficulty sums the innovations of its AR window in the order
+    /// (and with the weights) the closed form uses, so every entry equals
+    /// [`token_semantics_closed_form`](Self::token_semantics_closed_form) bit
+    /// for bit.
+    fn fill_token_table(&mut self) {
+        let weights = self.ar_weights();
+        let total = self.total_tokens() as usize;
+        self.tokens.reserve_exact(total);
+        let mut innovations = Vec::new();
+        for spec in &self.sequences {
+            self.token_start.push(self.tokens.len());
+            let rng = self.sequence_rng(spec.request_id);
+            innovations.clear();
+            innovations.extend(
+                (0..spec.output_tokens as u64).map(|i| rng.normal_draw(&[i]) * INNOVATION_SCALE),
+            );
+            for t in 0..innovations.len() {
+                let mut deviation = 0.0f64;
+                for (weight, innovation) in weights.iter().zip(innovations[..=t].iter().rev()) {
+                    deviation += weight * innovation;
+                }
+                self.tokens.push(self.token_from(spec, t as u32, deviation));
+            }
         }
+    }
+
+    /// The AR window's weights, most recent innovation first.
+    fn ar_weights(&self) -> [f64; AR_WINDOW] {
+        let mut weight = (1.0 - self.continuity * self.continuity).sqrt();
+        std::array::from_fn(|_| {
+            let w = weight;
+            weight *= self.continuity;
+            w
+        })
+    }
+
+    /// The keyed root of one sequence's innovation draws.
+    fn sequence_rng(&self, request_id: u64) -> DeterministicRng {
+        DeterministicRng::new(self.seed).child(0x70CE4 + request_id)
+    }
+
+    /// A token's semantics from its sequence and its AR deviation.
+    fn token_from(&self, spec: &SequenceSpec, token_index: u32, deviation: f64) -> SampleSemantics {
+        let difficulty = (spec.sequence_mean + deviation).clamp(0.0, 1.0);
+        let seed = self
+            .seed
+            .wrapping_mul(0x9E37_79B9)
+            .wrapping_add(spec.request_id << 20)
+            .wrapping_add(token_index as u64);
+        SampleSemantics::new(seed, difficulty)
     }
 
     /// The sequences, in request order.
@@ -143,33 +212,46 @@ impl GenerativeWorkload {
 
     /// Deterministic semantics of token `token_index` of request `request_id`.
     ///
-    /// Token difficulty follows a stationary AR(1) around the sequence mean; it
-    /// is computed in closed form (mean + decaying mixture of per-token
-    /// innovations) so any token can be queried independently and repeatably.
+    /// Token difficulty follows a stationary AR(1) around the sequence mean
+    /// (mean + decaying mixture of per-token innovations), so any token can be
+    /// queried independently and repeatably. Tokens of the sequence are read
+    /// from the table [`generate`](Self::generate) builds; indices past the
+    /// sequence's length fall back to the closed form. Debug builds check
+    /// every table read against the closed form bit for bit.
     pub fn token_semantics(&self, request_id: u64, token_index: u32) -> SampleSemantics {
         let spec = &self.sequences[request_id as usize];
-        let rng = DeterministicRng::new(self.seed).child(0x70CE4 + request_id);
-        // Approximate AR(1): blend the previous few innovations with
-        // geometrically decaying weights. Window of 8 captures > 99 % of the
-        // mass for continuity <= 0.9.
-        let mut deviation = 0.0f64;
-        let mut weight = (1.0 - self.continuity * self.continuity).sqrt();
-        for lag in 0..8u32 {
-            if lag > token_index {
-                break;
-            }
-            let idx = token_index - lag;
-            let innovation = rng.normal_draw(&[idx as u64]) * 0.12;
-            deviation += weight * innovation;
-            weight *= self.continuity;
+        if token_index >= spec.output_tokens {
+            return self.token_semantics_closed_form(request_id, token_index);
         }
-        let difficulty = (spec.sequence_mean + deviation).clamp(0.0, 1.0);
-        let seed = self
-            .seed
-            .wrapping_mul(0x9E37_79B9)
-            .wrapping_add(request_id << 20)
-            .wrapping_add(token_index as u64);
-        SampleSemantics::new(seed, difficulty)
+        let token = self.tokens[self.token_start[request_id as usize] + token_index as usize];
+        #[cfg(debug_assertions)]
+        {
+            let reference = self.token_semantics_closed_form(request_id, token_index);
+            assert!(
+                token.seed == reference.seed
+                    && token.difficulty.to_bits() == reference.difficulty.to_bits(),
+                "token table diverged from the closed form at request {request_id}, token {token_index}"
+            );
+        }
+        token
+    }
+
+    /// The closed form of [`token_semantics`](Self::token_semantics), drawing
+    /// the token's AR window anew: the reference the token table reproduces.
+    fn token_semantics_closed_form(&self, request_id: u64, token_index: u32) -> SampleSemantics {
+        let spec = &self.sequences[request_id as usize];
+        let rng = self.sequence_rng(request_id);
+        // Approximate AR(1): blend the previous few innovations with
+        // geometrically decaying weights.
+        let mut deviation = 0.0f64;
+        for (lag, weight) in self.ar_weights().into_iter().enumerate() {
+            let Some(idx) = token_index.checked_sub(lag as u32) else {
+                break;
+            };
+            let innovation = rng.normal_draw(&[idx as u64]) * INNOVATION_SCALE;
+            deviation += weight * innovation;
+        }
+        self.token_from(spec, token_index, deviation)
     }
 }
 
@@ -245,6 +327,35 @@ mod tests {
         let c = w.token_semantics(2, 2).seed;
         assert_ne!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn token_table_equals_the_closed_form_bit_for_bit() {
+        for task in [
+            GenerativeTask::Summarization,
+            GenerativeTask::QuestionAnswering,
+        ] {
+            let w = workload(task);
+            let mut table_reads = 0u64;
+            for spec in w.sequences() {
+                // Every token of the sequence, then a few past its end (the
+                // closed-form fallback).
+                for t in 0..spec.output_tokens + 3 {
+                    let token = w.token_semantics(spec.request_id, t);
+                    let reference = w.token_semantics_closed_form(spec.request_id, t);
+                    assert_eq!(token.seed, reference.seed);
+                    assert_eq!(
+                        token.difficulty.to_bits(),
+                        reference.difficulty.to_bits(),
+                        "{task:?}, request {}, token {t}",
+                        spec.request_id
+                    );
+                    table_reads += u64::from(t < spec.output_tokens);
+                }
+            }
+            assert_eq!(table_reads, w.total_tokens());
+            assert_eq!(w.tokens.len() as u64, w.total_tokens());
+        }
     }
 
     #[test]

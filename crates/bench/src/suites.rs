@@ -167,9 +167,11 @@ fn calibration_window(
     num_ramps: usize,
 ) -> TuningWindow {
     let mut window = TuningWindow::new(num_ramps, samples.len().max(1));
+    let mut row = Vec::with_capacity(plan.num_ramps());
     for sample in samples {
-        let observations: Vec<_> = (0..num_ramps).map(|i| plan.observe(sample, i)).collect();
-        window.push(&observations);
+        row.clear();
+        plan.observe_row(sample, &mut row);
+        window.push(&row[..num_ramps]);
     }
     window
 }
